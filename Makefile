@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci vet fmt-check lint build test race bench bench-gate profile examples fig sim dist-smoke battery-smoke tcp-smoke scenario-smoke serve-smoke load-smoke
+.PHONY: ci vet fmt-check lint build test race perfbench-test bench bench-gate profile examples fig sim dist-smoke battery-smoke tcp-smoke scenario-smoke serve-smoke load-smoke
 
-ci: vet fmt-check lint build race bench examples ## full tier-1 + lint + race + bench smoke + examples
+ci: vet fmt-check lint build race perfbench-test bench examples ## full tier-1 + lint + race + perfbench + bench smoke + examples
 
 vet:
 	$(GO) vet ./...
@@ -31,6 +31,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# perfbench/ is its own module (it imports this one through a replace
+# directive), so the root ./... never compiles it: vet and test it
+# here, against the APIs of this checkout.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Benchmarks come in two speeds. `bench` is the smoke: one iteration
 # of every benchmark, proving the experiment battery, the catalog

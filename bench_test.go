@@ -28,14 +28,17 @@ import (
 	"dsa/internal/workload"
 )
 
-func benchTable(b *testing.B, fn func() (*metrics.Table, error)) {
+// benchTable runs one named experiment per iteration.
+func benchTable(b *testing.B, name string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		t, err := fn()
+		rows := 0
+		err := experiments.StreamConfig(context.Background(), experiments.Config{},
+			func(t *metrics.Table) { rows = len(t.Rows) }, name)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(t.Rows) == 0 {
+		if rows == 0 {
 			b.Fatal("empty table")
 		}
 	}
@@ -43,62 +46,62 @@ func benchTable(b *testing.B, fn func() (*metrics.Table, error)) {
 
 // BenchmarkFig1ArtificialContiguity regenerates Figure 1.
 func BenchmarkFig1ArtificialContiguity(b *testing.B) {
-	benchTable(b, experiments.Fig1ArtificialContiguity)
+	benchTable(b, "fig1")
 }
 
 // BenchmarkFig2SimpleMapping regenerates Figure 2.
 func BenchmarkFig2SimpleMapping(b *testing.B) {
-	benchTable(b, experiments.Fig2SimpleMapping)
+	benchTable(b, "fig2")
 }
 
 // BenchmarkFig3SpaceTime regenerates Figure 3.
 func BenchmarkFig3SpaceTime(b *testing.B) {
-	benchTable(b, experiments.Fig3SpaceTime)
+	benchTable(b, "fig3")
 }
 
 // BenchmarkFig4TwoLevelMapping regenerates Figure 4.
 func BenchmarkFig4TwoLevelMapping(b *testing.B) {
-	benchTable(b, experiments.Fig4TwoLevelMapping)
+	benchTable(b, "fig4")
 }
 
 // BenchmarkT1Replacement regenerates the replacement-strategy table.
 func BenchmarkT1Replacement(b *testing.B) {
-	benchTable(b, experiments.T1Replacement)
+	benchTable(b, "t1")
 }
 
 // BenchmarkT2Placement regenerates the placement-strategy table.
 func BenchmarkT2Placement(b *testing.B) {
-	benchTable(b, experiments.T2Placement)
+	benchTable(b, "t2")
 }
 
 // BenchmarkT3UnitSize regenerates the unit-of-allocation table.
 func BenchmarkT3UnitSize(b *testing.B) {
-	benchTable(b, experiments.T3UnitSize)
+	benchTable(b, "t3")
 }
 
 // BenchmarkT4Machines regenerates the appendix-survey table.
 func BenchmarkT4Machines(b *testing.B) {
-	benchTable(b, experiments.T4Machines)
+	benchTable(b, "t4")
 }
 
 // BenchmarkT5Predictive regenerates the predictive-information table.
 func BenchmarkT5Predictive(b *testing.B) {
-	benchTable(b, experiments.T5Predictive)
+	benchTable(b, "t5")
 }
 
 // BenchmarkT6DualPageSize regenerates the MULTICS dual-page-size table.
 func BenchmarkT6DualPageSize(b *testing.B) {
-	benchTable(b, experiments.T6DualPageSize)
+	benchTable(b, "t6")
 }
 
 // BenchmarkT7NameSpace regenerates the dictionary-bookkeeping table.
 func BenchmarkT7NameSpace(b *testing.B) {
-	benchTable(b, experiments.T7NameSpace)
+	benchTable(b, "t7")
 }
 
 // BenchmarkT8Overlap regenerates the multiprogramming-overlap table.
 func BenchmarkT8Overlap(b *testing.B) {
-	benchTable(b, experiments.T8Overlap)
+	benchTable(b, "t8")
 }
 
 // --- substrate micro-benchmarks ---
@@ -272,42 +275,42 @@ func segName(i int) string {
 
 // BenchmarkT8bOverlapTraced regenerates the trace-driven overlap table.
 func BenchmarkT8bOverlapTraced(b *testing.B) {
-	benchTable(b, experiments.T8OverlapTraced)
+	benchTable(b, "t8b")
 }
 
 // BenchmarkA1ReserveFrames regenerates the vacant-frame ablation.
 func BenchmarkA1ReserveFrames(b *testing.B) {
-	benchTable(b, experiments.A1ReserveFrames)
+	benchTable(b, "a1")
 }
 
 // BenchmarkA2Coalescing regenerates the coalescing-mode ablation.
 func BenchmarkA2Coalescing(b *testing.B) {
-	benchTable(b, experiments.A2Coalescing)
+	benchTable(b, "a2")
 }
 
 // BenchmarkA3Compaction regenerates the storage-packing ablation.
 func BenchmarkA3Compaction(b *testing.B) {
-	benchTable(b, experiments.A3Compaction)
+	benchTable(b, "a3")
 }
 
 // BenchmarkA4WaldUtilization regenerates the Wald utilization ablation.
 func BenchmarkA4WaldUtilization(b *testing.B) {
-	benchTable(b, experiments.A4WaldUtilization)
+	benchTable(b, "a4")
 }
 
 // BenchmarkA5TLBFlush regenerates the TLB-flush ablation.
 func BenchmarkA5TLBFlush(b *testing.B) {
-	benchTable(b, experiments.A5TLBFlush)
+	benchTable(b, "a5")
 }
 
 // BenchmarkT0Overlay regenerates the static-vs-dynamic overlay table.
 func BenchmarkT0Overlay(b *testing.B) {
-	benchTable(b, experiments.T0Overlay)
+	benchTable(b, "t0")
 }
 
 // BenchmarkA6SegmentedPaging regenerates the segmented-paging table.
 func BenchmarkA6SegmentedPaging(b *testing.B) {
-	benchTable(b, experiments.A6SegmentedPaging)
+	benchTable(b, "a6")
 }
 
 // BenchmarkAllSweep runs the entire experiment battery through the
@@ -317,14 +320,14 @@ func BenchmarkA6SegmentedPaging(b *testing.B) {
 func BenchmarkAllSweep(b *testing.B) {
 	for _, parallel := range []int{1, 8} {
 		b.Run(fmt.Sprintf("parallel=%d", parallel), func(b *testing.B) {
-			experiments.Configure(parallel, 0)
-			defer experiments.Configure(0, 0)
 			for i := 0; i < b.N; i++ {
-				tables, err := experiments.All()
+				tables := 0
+				err := experiments.StreamConfig(context.Background(), experiments.Config{Parallel: parallel},
+					func(*metrics.Table) { tables++ })
 				if err != nil {
 					b.Fatal(err)
 				}
-				if len(tables) == 0 {
+				if tables == 0 {
 					b.Fatal("no tables")
 				}
 			}

@@ -10,7 +10,8 @@
 //	dsafig serve-worker [-listen ADDR] [-cache-dir DIR] [-auth-token T]
 //
 // With no arguments every experiment runs in order. Experiment names:
-// fig1 fig2 fig3 fig4 t1 t2 t3 t4 t5 t6 t7 t8.
+// t0 fig1 fig2 fig3 fig4 t1 t2 t3 t4 t5 t6 t7 t8 t8b a1 a2 a3 a4 a5 a6
+// (`dsafig -h` prints the list from the compiled-in battery).
 //
 // -parallel fans each experiment's cells across N engine workers
 // (0 = GOMAXPROCS); the tables are byte-identical at any parallelism.
@@ -67,14 +68,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"dsa/internal/cliflags"
-	"dsa/internal/engine"
-	"dsa/internal/engine/battery"
 	"dsa/internal/experiments"
-	"dsa/internal/metrics"
 	"dsa/internal/scenario"
 )
 
@@ -102,7 +99,8 @@ func main() {
 	scenarios := flag.String("scenario", "", "comma-separated scenario files to compile and run alongside any named experiments")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: dsafig [-parallel N] [-workers N] [-remote host:port,...] [-batch B] [-battery-parallel N] [-seed S] [-cache-dir DIR] [-scenario FILE,...] [-progress] [experiment ...]\nexperiments: fig1 fig2 fig3 fig4 t1 t2 t3 t4 t5 t6 t7 t8 (default: all)\n")
+			"usage: dsafig [-parallel N] [-workers N] [-remote host:port,...] [-batch B] [-battery-parallel N] [-seed S] [-cache-dir DIR] [-scenario FILE,...] [-progress] [experiment ...]\nexperiments: %s (default: all)\n",
+			strings.Join(experiments.Names(), " "))
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -111,8 +109,6 @@ func main() {
 		fail(err)
 	}
 	defer stopProfiles()
-	experiments.Configure(sw.Parallel, sw.Seed)
-	experiments.ConfigureBattery(sw.BatteryParallel)
 
 	// Declarative sweeps: each -scenario file compiles to engine cells
 	// and registers as a battery experiment under its wire id. With no
@@ -133,59 +129,11 @@ func main() {
 		names = nil // the whole compiled-in battery
 	}
 
-	// One battery-scoped store for everything this invocation runs:
-	// sweeps share workloads across experiments, and with -cache-dir
-	// they replay them across runs and processes.
-	store := sw.Store()
-	experiments.UseStore(store)
-	defer func() {
-		if st := store.Stats(); sw.CacheDir != "" || sw.Progress {
-			fmt.Fprintf(os.Stderr, "dsafig: store: %s\n", st.Summary())
-		}
-	}()
-
-	// Sweep-cost manifest: with a cache directory the battery records
-	// each sweep's observed wall-clock time there, and later
-	// -battery-parallel runs schedule longest-first from it. Purely
-	// advisory — tables re-emit in canonical order regardless.
-	if sw.CacheDir != "" {
-		costs := battery.LoadCosts(filepath.Join(sw.CacheDir, "latency.json"))
-		experiments.UseCosts(costs)
-		defer func() {
-			if err := costs.Save(); err != nil {
-				fmt.Fprintf(os.Stderr, "dsafig: costs: %v\n", err)
-			}
-		}()
-	}
-
-	pool, err := sw.Pool()
-	if err != nil {
-		fail(err)
-	}
-	if pool != nil {
-		defer pool.Close()
-		defer func() {
-			fmt.Fprintf(os.Stderr, "dsafig: dist: %s\n", pool.Stats().Summary(sw.PoolSlots()))
-		}()
-		experiments.UseExecutor(pool)
-	}
-	if sw.Progress {
-		if sw.BatteryParallel > 1 {
-			// Interleaved per-sweep lines from concurrent sweeps would be
-			// unreadable; report the aggregated battery view instead.
-			experiments.ObserveBattery(func(p battery.Progress) {
-				fmt.Fprintf(os.Stderr, "dsafig: battery: %s\n", p)
-			})
-		} else {
-			experiments.Observe(func(sweep string, p engine.Progress) {
-				fmt.Fprintf(os.Stderr, "dsafig: %s: %s\n", sweep, p)
-			})
-		}
-	}
-
-	// Stream each table out as soon as its prefix of the battery
-	// completes — in canonical order, whatever order sweeps finish in.
-	if err := experiments.Stream(func(t *metrics.Table) { fmt.Println(t) }, names...); err != nil {
+	// One battery-scoped store, cost manifest and worker pool for
+	// everything this invocation runs; each table streams out as soon
+	// as its prefix of the battery completes — in canonical order,
+	// whatever order sweeps finish in.
+	if err := experiments.StreamFlags(sw, names...); err != nil {
 		fail(err)
 	}
 }

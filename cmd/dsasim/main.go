@@ -221,47 +221,7 @@ func cmdRun(args []string) {
 		fail(fmt.Errorf("run: -scenario names no files"))
 	}
 
-	experiments.Configure(sw.Parallel, sw.Seed)
-	experiments.ConfigureBattery(sw.BatteryParallel)
-	store := sw.Store()
-	experiments.UseStore(store)
-	defer func() {
-		if sw.CacheDir != "" || sw.Progress {
-			fmt.Fprintf(os.Stderr, "dsasim: store: %s\n", store.Stats().Summary())
-		}
-	}()
-	if sw.CacheDir != "" {
-		costs := battery.LoadCosts(filepath.Join(sw.CacheDir, "latency.json"))
-		experiments.UseCosts(costs)
-		defer func() {
-			if err := costs.Save(); err != nil {
-				fmt.Fprintf(os.Stderr, "dsasim: costs: %v\n", err)
-			}
-		}()
-	}
-	pool, err := sw.Pool()
-	if err != nil {
-		fail(err)
-	}
-	if pool != nil {
-		defer pool.Close()
-		defer func() {
-			fmt.Fprintf(os.Stderr, "dsasim: dist: %s\n", pool.Stats().Summary(sw.PoolSlots()))
-		}()
-		experiments.UseExecutor(pool)
-	}
-	if sw.Progress {
-		if sw.BatteryParallel > 1 {
-			experiments.ObserveBattery(func(p battery.Progress) {
-				fmt.Fprintf(os.Stderr, "dsasim: battery: %s\n", p)
-			})
-		} else {
-			experiments.Observe(func(sweep string, p engine.Progress) {
-				fmt.Fprintf(os.Stderr, "dsasim: %s: %s\n", sweep, p)
-			})
-		}
-	}
-	if err := experiments.Stream(func(t *metrics.Table) { fmt.Println(t) }, names...); err != nil {
+	if err := experiments.StreamFlags(sw, names...); err != nil {
 		fail(err)
 	}
 }
@@ -304,16 +264,16 @@ func runAll(sw *cliflags.Sweep, kind string, refs, segs, scale int) error {
 	if sw.BatteryParallel > 1 {
 		runAllBattery(names, store, pool, sw, kind, refs, segs, scale, emit)
 	} else {
-		cfg := sw.Config(store)
+		opts := engine.Options{Parallel: sw.Parallel, Seed: sw.Seed, Catalog: store}
 		if sw.Progress {
-			cfg.OnProgress = func(p engine.Progress) {
+			opts.OnProgress = func(p engine.Progress) {
 				fmt.Fprintf(os.Stderr, "dsasim: machine sweep: %s\n", p)
 			}
 		}
 		if pool != nil {
-			cfg.Executor = pool
+			opts.Executor = pool
 		}
-		eng := engine.NewFromConfig(cfg)
+		eng := engine.New(opts)
 		jobs := make([]engine.Job, len(names))
 		for i, name := range names {
 			jobs[i] = machineJob(name, kind, refs, segs, sw.Seed, scale)
@@ -363,11 +323,10 @@ func machineJob(name, kind string, refs, segs int, seed uint64, scale int) engin
 // stderr.
 func runAllBattery(names []string, store *catalog.Catalog, pool *dist.Pool,
 	sw *cliflags.Sweep, kind string, refs, segs, scale int, emit func(engine.Result)) {
-	cfg := sw.Config(store)
+	var exec engine.Executor = battery.NewPool(sw.Parallel)
 	if pool != nil {
-		cfg.Executor = pool
+		exec = pool
 	}
-	exec := battery.PoolFromConfig(cfg)
 	// Machine sweep costs persist beside the workload cache, so repeat
 	// -battery-parallel runs start the slowest machines first.
 	var costs *battery.CostManifest

@@ -387,9 +387,9 @@ func cmdBatch(args []string) {
 	specs, shared := batchSpecs(*out, *kinds, *variants, sw.Seed, *g)
 
 	store := sw.Store()
-	cfg := sw.Config(store)
+	opts := engine.Options{Parallel: sw.Parallel, Seed: sw.Seed, Catalog: store}
 	if sw.Progress {
-		cfg.OnProgress = func(p engine.Progress) {
+		opts.OnProgress = func(p engine.Progress) {
 			fmt.Fprintf(os.Stderr, "dsatrace: batch: %s\n", p)
 		}
 	}
@@ -399,9 +399,9 @@ func cmdBatch(args []string) {
 	}
 	if pool != nil {
 		defer pool.Close()
-		cfg.Executor = pool
+		opts.Executor = pool
 	}
-	eng := engine.NewFromConfig(cfg)
+	eng := engine.New(opts)
 	jobs := make([]engine.Job, len(specs))
 	for i, sp := range specs {
 		sp := sp

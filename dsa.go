@@ -157,8 +157,8 @@
 // Above the per-sweep axes sits the battery scheduler
 // (internal/engine/battery): -battery-parallel N runs up to N whole
 // experiments concurrently over one shared executor, instead of
-// strictly one after another the way experiments.All() historically
-// did. It composes with the other flags rather than multiplying them:
+// strictly one after another. It composes with the other flags rather
+// than multiplying them:
 //
 //   - -battery-parallel × -parallel: without -workers, the battery
 //     installs one battery-wide cell pool bounded by -parallel, so
@@ -350,16 +350,13 @@
 // profile is written after a final GC), and `make profile` runs the
 // full dsafig sweep under both — point `go tool pprof` at the result.
 //
-// Two cost-aware scheduling mechanisms reclaim wall-clock without
-// touching output bytes. A -cache-dir records each sweep's measured
-// latency into latency.json (atomic rename, corrupt-safe like the
-// workload cache); on the next -battery-parallel run the battery feeds
-// sweeps longest-first so a long tail cannot strand the final worker,
-// while results still emit in declaration order — byte-identical by
-// construction, pinned by tests. And -adaptive-batch lets each dist
-// worker size its protocol batches from an EWMA of measured per-cell
-// latency (targeting ~25ms per round trip, capped by -batch), so cheap
-// cells amortize framing while expensive cells keep feedback fresh.
+// Cost-aware scheduling reclaims wall-clock without touching output
+// bytes: a -cache-dir records each sweep's measured latency into
+// latency.json (atomic rename, corrupt-safe like the workload cache);
+// on the next -battery-parallel run the battery feeds sweeps
+// longest-first so a long tail cannot strand the final worker, while
+// results still emit in declaration order — byte-identical by
+// construction, pinned by tests.
 //
 // Every speedup to these paths is pinned by equivalence tests, not
 // just benchmarks: the indexed heap free list, the intrusive-LRU TLB,

@@ -5,10 +5,9 @@
 // boilerplate (`<cmd> worker`, `<cmd> serve-worker`) that was
 // previously duplicated per command.
 //
-// The flag values collect into a Sweep, which projects onto the
-// unified engine.Config (see Sweep.Config): commands hand that config
-// to dist.PoolFromConfig / battery.PoolFromConfig / engine.New instead
-// of threading a dozen scalars.
+// The flag values collect into a Sweep. Commands build their store
+// (Sweep.Store) and dist pool (Sweep.Pool) from it, and their
+// engine.Options or experiments.Config from its fields.
 package cliflags
 
 import (
@@ -18,7 +17,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 
-	"dsa/internal/engine"
 	"dsa/internal/engine/dist"
 	"dsa/internal/workload/catalog"
 )
@@ -34,7 +32,6 @@ type Sweep struct {
 	Remote          string
 	AuthToken       string
 	Batch           int
-	AdaptiveBatch   bool
 	BatteryParallel int
 	CacheDir        string
 	Progress        bool
@@ -59,8 +56,6 @@ func Register(fs *flag.FlagSet, prog string, seedDefault uint64) *Sweep {
 	fs.StringVar(&s.AuthToken, "auth-token", os.Getenv("DSA_WORKER_TOKEN"),
 		"shared secret for -remote handshakes (default $DSA_WORKER_TOKEN)")
 	fs.IntVar(&s.Batch, "batch", 1, "cells per dist protocol frame with -workers/-remote (amortizes round trips)")
-	fs.BoolVar(&s.AdaptiveBatch, "adaptive-batch", false,
-		"size dist batches from measured per-cell latency instead of the static -batch (which then only caps them)")
 	fs.IntVar(&s.BatteryParallel, "battery-parallel", 1,
 		"run N whole sweeps concurrently over one shared executor (1 = serial; byte-identical at any N)")
 	fs.StringVar(&s.CacheDir, "cache-dir", "",
@@ -80,23 +75,6 @@ func (s *Sweep) Remotes() []string { return dist.SplitEndpoints(s.Remote) }
 // Store builds this process's workload store from the -cache-dir flag,
 // diagnostics prefixed with the command name.
 func (s *Sweep) Store() *catalog.Catalog { return Store(s.Prog, s.CacheDir) }
-
-// Config projects the parsed flags onto the unified engine.Config,
-// with store (may be nil) as its catalog.
-func (s *Sweep) Config(store *catalog.Catalog) engine.Config {
-	return engine.Config{
-		Parallel:        s.Parallel,
-		Seed:            s.Seed,
-		Catalog:         store,
-		Workers:         s.Workers,
-		Batch:           s.Batch,
-		AdaptiveBatch:   s.AdaptiveBatch,
-		Remote:          s.Remotes(),
-		AuthToken:       s.AuthToken,
-		CacheDir:        s.CacheDir,
-		BatteryParallel: s.BatteryParallel,
-	}
-}
 
 // StartProfiles honors the -cpuprofile/-memprofile flags: it starts
 // CPU profiling (when asked) and returns a stop function the command
@@ -140,11 +118,28 @@ func (s *Sweep) StartProfiles() (func(), error) {
 	}, nil
 }
 
-// Pool builds the dist pool the flags ask for via dist.PoolFromConfig
-// — nil (and no error) when -workers/-remote are unset. The caller
-// owns Close.
+// Pool builds the dist pool the flags ask for: -workers children
+// running this binary's own `worker` subcommand — with -cache-dir
+// passed on, so the workers' stores share the dispatcher's cache
+// directory — plus one slot per -remote endpoint, dialed with
+// -auth-token. It returns nil (and no error) when -workers and
+// -remote are unset. The caller owns Close.
 func (s *Sweep) Pool() (*dist.Pool, error) {
-	return dist.PoolFromConfig(s.Config(nil))
+	o := dist.Options{Workers: s.Workers, Batch: s.Batch, Remote: s.Remotes(), AuthToken: s.AuthToken}
+	if o.Workers <= 0 && len(o.Remote) == 0 {
+		return nil, nil
+	}
+	if o.Workers > 0 {
+		exe, err := os.Executable()
+		if err != nil {
+			return nil, err
+		}
+		o.Command, o.Args = exe, []string{"worker"}
+		if s.CacheDir != "" {
+			o.Args = append(o.Args, "-cache-dir", s.CacheDir)
+		}
+	}
+	return dist.NewPool(o)
 }
 
 // PoolSlots is the slot count for pool stats summaries: local workers

@@ -18,7 +18,8 @@
 //     function that itself panics is recovered here and recorded as a
 //     failed Result instead of sinking the battery.
 //   - Bounded concurrency. Options.Parallel bounds how many sweeps are
-//     in flight; Pool bounds how many cells run battery-wide, so the
+//     in flight; a Budget bounds how many cells run battery-wide (split
+//     fairly across tenants for the serve daemon), so the
 //     -parallel/-workers budget is a total budget, not a per-sweep one.
 //
 // Progress is aggregated battery-wide by Tracker: sweeps done/running,
@@ -29,6 +30,7 @@ package battery
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sort"
 	"sync"
@@ -68,7 +70,7 @@ type Result struct {
 // Options configures a battery run.
 type Options struct {
 	// Parallel bounds how many sweeps run concurrently; <= 1 means
-	// serial (today's All() behavior), and the scheduler still goes
+	// serial, and the scheduler still goes
 	// through the same ordered-emission path so bytes cannot differ.
 	Parallel int
 	// Tracker, if non-nil, receives sweep lifecycle events and renders
@@ -192,60 +194,193 @@ func runUnit(ctx context.Context, index int, u Unit) (res Result) {
 	return res
 }
 
-// Pool is the battery-wide in-process cell executor: a semaphore of N
-// slots shared by every sweep of the battery, so N bounds the total
-// number of cells in flight no matter how many sweeps run
-// concurrently. It implements engine.Executor and — unlike the
-// engine's default per-sweep pool — is safe for concurrent Execute
-// calls; each call still honors the engine's executor contract
-// (exactly-once reporting, key-derived seeding via engine.RunJob,
-// cancellation reporting).
+// Budget is the battery-wide cell budget: total slots shared by every
+// sweep that runs under it, so the total bounds the number of cells in
+// flight no matter how many sweeps run concurrently. The slots are
+// split fairly across tenants (the serve daemon's clients), each
+// capped at perTenant concurrently running cells. When a slot frees
+// while several capped tenants have cells waiting, it goes to a tenant
+// with the fewest running cells — ties broken by a random draw
+// (Rabin's randomized mutual-exclusion posture: fairness from a coin
+// flip, not a queue that can encode starvation) — and within one
+// tenant strictly FIFO, so cell order stays deterministic per job. A
+// single-tenant budget (NewPool) is a plain counting semaphore.
+type Budget struct {
+	mu        sync.Mutex
+	free      int
+	perTenant int
+	running   map[string]int
+	queues    map[string][]chan struct{}
+}
+
+// NewBudget builds a budget of total battery-wide cell slots (<= 0
+// means GOMAXPROCS), at most perTenant of which one tenant may hold at
+// once (<= 0 or > total means no per-tenant cap below the total).
+func NewBudget(total, perTenant int) *Budget {
+	if total <= 0 {
+		total = runtime.GOMAXPROCS(0)
+	}
+	if perTenant <= 0 || perTenant > total {
+		perTenant = total
+	}
+	return &Budget{
+		free:      total,
+		perTenant: perTenant,
+		running:   make(map[string]int),
+		queues:    make(map[string][]chan struct{}),
+	}
+}
+
+// Total reports the battery-wide slot count.
+func (b *Budget) Total() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	n := b.free
+	for _, r := range b.running {
+		n += r
+	}
+	return n
+}
+
+// Running reports tenant's currently held slots (test instrumentation).
+func (b *Budget) Running(tenant string) int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.running[tenant]
+}
+
+// Acquire blocks until tenant holds a cell slot or ctx is done. A
+// tenant below its cap with free slots and no earlier waiters of its
+// own proceeds immediately; otherwise it queues FIFO behind its own
+// waiters and competes fairly with other tenants for each freed slot.
+func (b *Budget) Acquire(ctx context.Context, tenant string) error {
+	b.mu.Lock()
+	if b.free > 0 && b.running[tenant] < b.perTenant && len(b.queues[tenant]) == 0 {
+		b.free--
+		b.running[tenant]++
+		b.mu.Unlock()
+		return nil
+	}
+	grant := make(chan struct{}, 1)
+	b.queues[tenant] = append(b.queues[tenant], grant)
+	// A slot may be free while this tenant queues (its earlier waiters
+	// kept FIFO order); let dispatch hand out whatever is grantable.
+	b.dispatchLocked()
+	b.mu.Unlock()
+	select {
+	case <-grant:
+		return nil
+	case <-ctx.Done():
+		b.mu.Lock()
+		q := b.queues[tenant]
+		for i, g := range q {
+			if g == grant {
+				b.queues[tenant] = append(q[:i:i], q[i+1:]...)
+				if len(b.queues[tenant]) == 0 {
+					delete(b.queues, tenant)
+				}
+				b.mu.Unlock()
+				return ctx.Err()
+			}
+		}
+		b.mu.Unlock()
+		// Lost the race: the grant landed while we were cancelling.
+		// Take it and hand the slot straight back so it is not leaked.
+		<-grant
+		b.Release(tenant)
+		return ctx.Err()
+	}
+}
+
+// Release returns one of tenant's slots and hands it to the fairest
+// eligible waiter, if any.
+func (b *Budget) Release(tenant string) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.running[tenant] <= 1 {
+		delete(b.running, tenant)
+	} else {
+		b.running[tenant]--
+	}
+	b.free++
+	b.dispatchLocked()
+}
+
+// dispatchLocked hands free slots to waiting tenants: among tenants
+// with waiters and headroom under the per-tenant cap, the one with the
+// fewest running cells wins each slot, ties broken uniformly at
+// random. Tenants at their cap are skipped — they hold running cells,
+// so a future Release always re-triggers dispatch; free slots plus
+// only capped waiters therefore never deadlocks, the slots just wait
+// for headroom.
+func (b *Budget) dispatchLocked() {
+	for b.free > 0 {
+		var best []string
+		min := -1
+		for tenant, q := range b.queues {
+			if len(q) == 0 || b.running[tenant] >= b.perTenant {
+				continue
+			}
+			switch r := b.running[tenant]; {
+			case min < 0 || r < min:
+				min, best = r, append(best[:0], tenant)
+			case r == min:
+				best = append(best, tenant)
+			}
+		}
+		if len(best) == 0 {
+			return
+		}
+		tenant := best[rand.Intn(len(best))]
+		grant := b.queues[tenant][0]
+		b.queues[tenant] = b.queues[tenant][1:]
+		if len(b.queues[tenant]) == 0 {
+			delete(b.queues, tenant)
+		}
+		b.free--
+		b.running[tenant]++
+		grant <- struct{}{}
+	}
+}
+
+// Pool is one tenant's cell executor over a Budget: every sweep it
+// runs competes cell by cell for the budget's battery-wide slots. It
+// implements engine.Executor and — unlike the engine's default
+// per-sweep pool — is safe for concurrent Execute calls; each call
+// still honors the engine's executor contract (exactly-once reporting,
+// key-derived seeding via engine.RunJob, cancelled jobs reported with
+// ctx.Err()), so no budget changes an output byte.
 type Pool struct {
-	sem chan struct{}
+	b      *Budget
+	tenant string
 }
 
-// PoolFromConfig returns the battery-wide cell executor an
-// engine.Config implies: the config's own Executor when set (a dist
-// pool's children and caches then persist across the whole battery),
-// otherwise a shared in-process pool bounded by the config's Parallel
-// — so the same flag bounds total cells in flight whether sweeps run
-// serially or concurrently.
-func PoolFromConfig(c engine.Config) engine.Executor {
-	if c.Executor != nil {
-		return c.Executor
-	}
-	return NewPool(c.Parallel)
-}
+// NewPool returns a single-tenant executor with n battery-wide cell
+// slots (n <= 0 means GOMAXPROCS).
+func NewPool(n int) *Pool { return NewBudget(n, 0).Executor("") }
 
-// NewPool returns a shared executor with n battery-wide cell slots
-// (n <= 0 means GOMAXPROCS).
-func NewPool(n int) *Pool {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	return &Pool{sem: make(chan struct{}, n)}
-}
+// Executor returns the executor that runs cells under tenant's share
+// of the budget: the serve daemon installs one per job.
+func (b *Budget) Executor(tenant string) *Pool { return &Pool{b: b, tenant: tenant} }
 
-// Parallel reports the battery-wide cell budget.
-func (p *Pool) Parallel() int { return cap(p.sem) }
+// Total reports the battery-wide cell budget.
+func (p *Pool) Total() int { return p.b.Total() }
 
 // Execute implements engine.Executor over the shared slots.
 func (p *Pool) Execute(ctx context.Context, sw engine.SweepEnv, jobs []engine.Job, report func(engine.Result)) {
 	var wg sync.WaitGroup
 	for i := range jobs {
-		select {
-		case <-ctx.Done():
+		if err := p.b.Acquire(ctx, p.tenant); err != nil {
 			for j := i; j < len(jobs); j++ {
-				report(engine.Result{Key: jobs[j].Key, Index: j, Err: ctx.Err()})
+				report(engine.Result{Key: jobs[j].Key, Index: j, Err: err})
 			}
 			wg.Wait()
 			return
-		case p.sem <- struct{}{}:
 		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			defer func() { <-p.sem }()
+			defer p.b.Release(p.tenant)
 			report(engine.RunJob(ctx, i, jobs[i], sw.Seed, sw.Catalog))
 		}(i)
 	}

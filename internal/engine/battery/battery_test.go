@@ -139,8 +139,8 @@ func TestCancellationMidBattery(t *testing.T) {
 func TestPoolBoundsCellsBatteryWide(t *testing.T) {
 	const budget = 3
 	pool := NewPool(budget)
-	if pool.Parallel() != budget {
-		t.Fatalf("Parallel() = %d, want %d", pool.Parallel(), budget)
+	if pool.Total() != budget {
+		t.Fatalf("Total() = %d, want %d", pool.Total(), budget)
 	}
 	var inFlight, peak int64
 	mkJobs := func(sweep int) []engine.Job {

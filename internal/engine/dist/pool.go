@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -59,17 +58,6 @@ type Options struct {
 	// batch (each cell a contained FAILED row). <= 0 means
 	// DefaultBatch. Output bytes are identical at any batch size.
 	Batch int
-	// AdaptiveBatch sizes batches from measured cell cost instead of
-	// the static Batch: each slot tracks an exponential moving average
-	// of its per-cell round-trip latency and ships enough cells per
-	// frame to target AdaptiveTargetLatency of work — cheap cells
-	// amortize the frame overhead in large batches, expensive cells ship
-	// one or two at a time so a crash or cancellation costs little. The
-	// first frame on each slot carries a single probe cell. Batch (when
-	// > 1) caps the adaptive size; otherwise AdaptiveMaxBatch does.
-	// Output bytes are identical either way — batch size is pure
-	// scheduling.
-	AdaptiveBatch bool
 	// Stderr receives the children's stderr, each line prefixed with
 	// the worker slot and its in-flight cell key so failures are
 	// attributable. Nil means os.Stderr.
@@ -82,16 +70,6 @@ const DefaultMaxRespawns = 2
 // DefaultBatch is the per-frame cell count: one cell per frame, the
 // maximally containment-friendly setting (a crash costs one cell).
 const DefaultBatch = 1
-
-// AdaptiveTargetLatency is the per-frame work budget adaptive batching
-// aims for: enough cells that frame overhead is noise, few enough that
-// a crash contains quickly and stealing stays effective.
-const AdaptiveTargetLatency = 25 * time.Millisecond
-
-// AdaptiveMaxBatch caps the adaptive batch size when Options.Batch
-// does not (Batch <= 1): very cheap cells would otherwise drive the
-// size toward whole-queue frames, defeating work stealing.
-const AdaptiveMaxBatch = 32
 
 // Stats counts a pool's traffic, for tests and operational summaries.
 type Stats struct {
@@ -146,57 +124,6 @@ type Pool struct {
 	mu     sync.Mutex
 	stats  Stats
 	closed bool
-}
-
-// SelfPool builds a pool of this binary's own `worker` subcommand —
-// the shape every self-spawning CLI shares — plus one remote slot per
-// endpoint in remote, dialed with authToken. cacheDir, when nonempty,
-// travels to the children as their -cache-dir flag, so the workers'
-// stores read and write the dispatcher's cache directory (remote
-// serve-workers warm their own -cache-dir instead). workers may be 0
-// when remote endpoints supply all the slots.
-func SelfPool(workers, batch int, cacheDir string, remote []string, authToken string) (*Pool, error) {
-	o, err := selfOptions(workers, batch, cacheDir, remote, authToken)
-	if err != nil {
-		return nil, err
-	}
-	return NewPool(o)
-}
-
-// selfOptions builds the self-spawning option set SelfPool and
-// PoolFromConfig share.
-func selfOptions(workers, batch int, cacheDir string, remote []string, authToken string) (Options, error) {
-	o := Options{Workers: workers, Batch: batch, Remote: remote, AuthToken: authToken}
-	if workers > 0 {
-		exe, err := os.Executable()
-		if err != nil {
-			return Options{}, err
-		}
-		o.Command = exe
-		o.Args = []string{"worker"}
-		if cacheDir != "" {
-			o.Args = append(o.Args, "-cache-dir", cacheDir)
-		}
-	}
-	return o, nil
-}
-
-// PoolFromConfig builds the worker pool an engine.Config asks for:
-// SelfPool over its Workers, Batch, CacheDir, Remote, AuthToken and
-// AdaptiveBatch fields. It returns (nil, nil) when the config asks for
-// no distribution (Workers 0 and no Remote endpoints), so callers can
-// unconditionally route their flags through here and only wire an
-// executor when one came back.
-func PoolFromConfig(c engine.Config) (*Pool, error) {
-	if !c.Distributed() {
-		return nil, nil
-	}
-	o, err := selfOptions(c.Workers, c.Batch, c.CacheDir, c.Remote, c.AuthToken)
-	if err != nil {
-		return nil, err
-	}
-	o.AdaptiveBatch = c.AdaptiveBatch
-	return NewPool(o)
 }
 
 // NewPool validates the options and returns a pool. No children are
@@ -333,7 +260,7 @@ func (p *Pool) Execute(ctx context.Context, sw engine.SweepEnv, jobs []engine.Jo
 					// slot goroutines may be draining concurrently, and
 					// nextBatch hands each cell out exactly once.
 					for {
-						idxs, _, ok := qs.nextBatch(s.id, s.batchSize())
+						idxs, _, ok := qs.nextBatch(s.id, s.pool.opts.Batch)
 						if !ok {
 							return
 						}
@@ -344,7 +271,7 @@ func (p *Pool) Execute(ctx context.Context, sw engine.SweepEnv, jobs []engine.Jo
 				case <-qs.drained:
 					return
 				}
-				idxs, stolen, ok := qs.nextBatch(s.id, s.batchSize())
+				idxs, stolen, ok := qs.nextBatch(s.id, s.pool.opts.Batch)
 				if !ok {
 					<-s.tok
 					return
@@ -395,53 +322,6 @@ type slot struct {
 	live   link            // the connected link; also read by the cancellation watchers
 	curCtx context.Context // the in-flight batch's sweep context, nil when idle
 	killed bool            // a watcher killed the link; reconnect before reuse
-
-	// cellEWMA holds the float64 bits of this slot's moving average of
-	// per-cell round-trip latency (ns). Written under tok ownership in
-	// runBatch, read without it by batchSize — hence atomic. Zero means
-	// unmeasured (the next frame is a single probe cell).
-	cellEWMA atomic.Uint64
-}
-
-// batchSize is how many cells the slot's next frame should carry:
-// the static Options.Batch, or — with AdaptiveBatch — enough cells to
-// fill AdaptiveTargetLatency at the slot's measured per-cell cost.
-func (s *slot) batchSize() int {
-	o := &s.pool.opts
-	if !o.AdaptiveBatch {
-		return o.Batch
-	}
-	ewma := math.Float64frombits(s.cellEWMA.Load())
-	if ewma <= 0 {
-		return 1 // unmeasured: probe with one cell
-	}
-	n := int(float64(AdaptiveTargetLatency) / ewma)
-	cap := AdaptiveMaxBatch
-	if o.Batch > 1 {
-		cap = o.Batch
-	}
-	if n > cap {
-		n = cap
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// observeBatch folds one frame's measured per-cell latency into the
-// slot's moving average. A half-weight EWMA tracks drifting cell costs
-// across a sweep (and across sweeps sharing the pool) without letting
-// one outlier frame swing the batch size far.
-func (s *slot) observeBatch(elapsed time.Duration, cells int) {
-	if cells <= 0 {
-		return
-	}
-	perCell := float64(elapsed) / float64(cells)
-	if old := math.Float64frombits(s.cellEWMA.Load()); old > 0 {
-		perCell = old/2 + perCell/2
-	}
-	s.cellEWMA.Store(math.Float64bits(perCell))
 }
 
 // runBatch executes one batch of cells and reports each exactly once:
@@ -514,12 +394,8 @@ func (s *slot) runBatch(ctx context.Context, sw engine.SweepEnv, idxs []int, job
 		}
 		return
 	}
-	start := time.Now()
 	resp, err := s.roundTrip(&req)
 	s.setCurCtx(nil)
-	if err == nil && s.pool.opts.AdaptiveBatch {
-		s.observeBatch(time.Since(start), len(remote))
-	}
 	if err == nil && len(resp.Results) != len(remote) {
 		err = fmt.Errorf("dist: %d results for %d cells", len(resp.Results), len(remote))
 	}

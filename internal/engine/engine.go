@@ -195,10 +195,10 @@ type Executor interface {
 	Execute(ctx context.Context, sw SweepEnv, jobs []Job, report func(Result))
 }
 
-// Options configures an Engine. It is the engine-level subset of
-// Config, kept as a thin alias for direct engine construction; code
-// that also distributes or batteries should carry a Config and
-// project it here via Config.Options().
+// Options configures an Engine. The zero value is the default:
+// in-process execution with GOMAXPROCS workers, paper-exact seeding
+// and a fresh in-memory workload catalog. No option changes an output
+// byte.
 type Options struct {
 	// Parallel bounds the in-process worker pool; <= 0 means
 	// GOMAXPROCS. Ignored when Executor is set.

@@ -5,7 +5,6 @@ import (
 
 	"dsa/internal/alloc"
 	"dsa/internal/engine"
-	"dsa/internal/metrics"
 	"dsa/internal/paging"
 	"dsa/internal/replace"
 	"dsa/internal/segment"
@@ -15,20 +14,18 @@ import (
 	"dsa/internal/workload"
 )
 
-// A1ReserveFrames ablates the ATLAS vacant-frame policy: keeping 0, 1
+// a1Def ablates the ATLAS vacant-frame policy: keeping 0, 1
 // or 2 frames free ahead of demand. The reserve moves dirty write-backs
 // off the fault critical path, cutting waiting time at the cost of a
 // slightly smaller effective allotment. One engine cell per reserve
 // depth, all replaying the same write-heavy program.
-func A1ReserveFrames() (*metrics.Table, error) { return a1Def.run() }
-
 var a1Def = registerSweep("a1",
 	"A1 — ablation: ATLAS vacant-frame reserve (write-heavy working set)",
 	[]string{"reserve", "faults", "reserve evictions",
 		"waiting time", "elapsed"},
 	a1Cells)
 
-func a1Cells(sc runConfig) []cell {
+func a1Cells(sc Config) []cell {
 	const pageSize = 256
 	reserves := []int{0, 1, 2}
 	cells := make([]cell, len(reserves))
@@ -70,20 +67,18 @@ func a1Cells(sc runConfig) []cell {
 	return cells
 }
 
-// A2Coalescing ablates the Rice deferred-coalescing choice against
+// a2Def ablates the Rice deferred-coalescing choice against
 // immediate boundary-tag coalescing, under identical request streams:
 // deferral makes frees O(1) but lengthens searches (more, smaller
 // chain entries) and risks transient fragmentation failures. The two
 // coalescing modes run as independent engine cells.
-func A2Coalescing() (*metrics.Table, error) { return a2Def.run() }
-
 var a2Def = registerSweep("a2",
 	"A2 — ablation: immediate vs deferred (Rice) coalescing, first-fit",
 	[]string{"mode", "allocs", "frag failures", "coalesce ops",
 		"probes/alloc", "free blocks at end"},
 	a2Cells)
 
-func a2Cells(sc runConfig) []cell {
+func a2Cells(sc Config) []cell {
 	modes := []struct {
 		name string
 		mode alloc.Mode
@@ -144,22 +139,20 @@ func a2Cells(sc runConfig) []cell {
 	return cells
 }
 
-// A3Compaction ablates storage packing in the segment manager: with
+// a3Def ablates storage packing in the segment manager: with
 // compaction, fragmented free space is consolidated by moving data
 // (charging transfer time); without it, the manager must evict
 // segments instead. "The case of variable units of allocation is in
 // general more complex because of the additional possibility of moving
 // information within working storage in order to compact vacant
 // spaces." One engine cell per regime, replaying the same churn.
-func A3Compaction() (*metrics.Table, error) { return a3Def.run() }
-
 var a3Def = registerSweep("a3",
 	"A3 — ablation: storage packing vs eviction (segment manager)",
 	[]string{"compaction", "fetches", "evictions", "compactions",
 		"words moved", "elapsed"},
 	a3Cells)
 
-func a3Cells(sc runConfig) []cell {
+func a3Cells(sc Config) []cell {
 	cells := make([]cell, 2)
 	for i, compact := range []bool{false, true} {
 		compact := compact
@@ -218,7 +211,7 @@ func segChurnName(i int) string {
 	return "s" + string(letters[i%26]) + string(letters[(i/26)%26]) + string(letters[(i/676)%26])
 }
 
-// A4WaldUtilization tests the claim the paper attributes to Wald [18]:
+// a4Def tests the claim the paper attributes to Wald [18]:
 // when "the average allocation request involves an amount of storage
 // that is quite small compared with the extent of physical storage",
 // simply tolerating fragmentation keeps utilization acceptable. The
@@ -227,15 +220,13 @@ func segChurnName(i int) string {
 // column checks Knuth's later "fifty-percent rule" (free blocks ≈ half
 // the allocated blocks at equilibrium), which this substrate exhibits.
 // One engine cell per request-size fraction.
-func A4WaldUtilization() (*metrics.Table, error) { return a4Def.run() }
-
 var a4Def = registerSweep("a4",
 	"A4 — ablation: utilization vs relative request size (Wald)",
 	[]string{"mean size / heap", "utilization@fail", "ext frag",
 		"free blocks / allocated blocks"},
 	a4Cells)
 
-func a4Cells(sc runConfig) []cell {
+func a4Cells(sc Config) []cell {
 	const heapWords = 65536
 	fracs := []int{512, 128, 32, 16, 8}
 	cells := make([]cell, len(fracs))
@@ -323,18 +314,16 @@ func itoa(n int) string {
 	return string(buf[i:])
 }
 
-// A5TLBFlush ablates the cost of flushing the associative memory on
+// a5Def ablates the cost of flushing the associative memory on
 // program switches, the price multiprogrammed use of the Figure 4
 // mapping pays: hit ratio and addressing overhead versus switch
 // frequency. One engine cell per flush period.
-func A5TLBFlush() (*metrics.Table, error) { return a5Def.run() }
-
 var a5Def = registerSweep("a5",
 	"A5 — ablation: associative memory flushes on program switch",
 	[]string{"refs per switch", "hit ratio", "extra cycles/ref"},
 	a5Cells)
 
-func a5Cells(sc runConfig) []cell {
+func a5Cells(sc Config) []cell {
 	const segs = 8
 	periods := []int{0, 10000, 1000, 100, 10}
 	cells := make([]cell, len(periods))
@@ -373,22 +362,20 @@ func a5Cells(sc runConfig) []cell {
 	return cells
 }
 
-// A6SegmentedPaging exercises the full Figure 4 data path live: a
+// a6Def exercises the full Figure 4 data path live: a
 // segmented working-set workload runs through the SegPager (segment
 // table → page table → frame) while the associative-memory size sweeps
 // from absent to the 360/67's 9 registers, MULTICS's 16 and the
 // B8500's 44. Unlike F4 (translation only), faults, write-backs and
 // transfers are all in the accounting here. One engine cell per
 // associative-memory size.
-func A6SegmentedPaging() (*metrics.Table, error) { return a6Def.run() }
-
 var a6Def = registerSweep("a6",
 	"A6 — segmented paging data path (SegPager, 16 segments)",
 	[]string{"assoc. registers", "hit ratio", "page faults",
 		"writebacks", "elapsed"},
 	a6Cells)
 
-func a6Cells(sc runConfig) []cell {
+func a6Cells(sc Config) []cell {
 	tlbs := []int{0, 2, 9, 16, 44}
 	cells := make([]cell, len(tlbs))
 	for i, tlb := range tlbs {

@@ -12,24 +12,6 @@ import (
 	"dsa/internal/workload/catalog"
 )
 
-// renderBattery runs the full battery at the given battery-level
-// concurrency and renders every table the way cmd/dsafig prints them.
-func renderBattery(t *testing.T, batteryParallel, parallel int) string {
-	t.Helper()
-	Configure(parallel, 0)
-	ConfigureBattery(batteryParallel)
-	defer Configure(0, 0)
-	tables, err := All()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b strings.Builder
-	for _, tb := range tables {
-		fmt.Fprintln(&b, tb)
-	}
-	return b.String()
-}
-
 // TestBatteryParallelMatchesSerialGolden is the tentpole acceptance:
 // whole sweeps running concurrently over one shared executor must
 // reproduce the serial golden tables byte for byte — ordered
@@ -41,7 +23,7 @@ func TestBatteryParallelMatchesSerialGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, bp := range []int{2, 4, 20} {
-		got := renderBattery(t, bp, 4)
+		got := renderNamed(t, Config{Parallel: 4, BatteryParallel: bp})
 		if got != string(want) {
 			t.Errorf("battery-parallel=%d diverged from serial golden baseline\n"+
 				"got %d bytes, want %d bytes\nfirst divergence: %s",
@@ -64,9 +46,7 @@ func TestBatteryParallelThroughDistPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool := newBatchWorkerPool(t, 2, 4)
-	UseExecutor(pool)
-	defer UseExecutor(nil)
-	got := renderBattery(t, 3, 0)
+	got := renderNamed(t, Config{BatteryParallel: 3, Executor: pool})
 	if got != string(want) {
 		t.Errorf("battery through a shared dist pool diverged from golden\n"+
 			"got %d bytes, want %d bytes\nfirst divergence: %s",
@@ -85,12 +65,7 @@ func TestBatteryParallelThroughDistPool(t *testing.T) {
 func TestBatteryNoDuplicateGenerations(t *testing.T) {
 	generations := func(bp int) int {
 		store := catalog.New()
-		UseStore(store)
-		defer UseStore(nil)
-		Configure(4, 0)
-		ConfigureBattery(bp)
-		defer Configure(0, 0)
-		if _, err := All(); err != nil {
+		if _, err := runTables(Config{Parallel: 4, BatteryParallel: bp, Store: store}); err != nil {
 			t.Fatal(err)
 		}
 		return store.Stats().Generations
@@ -119,13 +94,7 @@ func TestBatteryPoisonedSweepOthersComplete(t *testing.T) {
 		catalog.Get(store, fmt.Sprintf("t1/page-string/working-set@%x", uint64(5)),
 			func() (int, error) { panic("poisoned workload") })
 	}()
-	UseStore(store)
-	defer UseStore(nil)
-	Configure(4, 0)
-	ConfigureBattery(3)
-	defer Configure(0, 0)
-
-	tables, err := Run("t1", "t4", "t8", "a2")
+	tables, err := runTables(Config{Parallel: 4, BatteryParallel: 3, Store: store}, "t1", "t4", "t8", "a2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,12 +107,11 @@ func TestBatteryPoisonedSweepOthersComplete(t *testing.T) {
 	}
 	// The untouched sweeps must match their solo serial renders.
 	for i, name := range []string{"t4", "t8", "a2"} {
-		Configure(0, 0)
-		want, err := Run(name)
+		want, err := runOne(Config{}, name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tables[i+1].String() != want[0].String() {
+		if tables[i+1].String() != want.String() {
 			t.Errorf("%s diverged when a concurrent sweep was poisoned", name)
 		}
 	}
@@ -156,21 +124,18 @@ func TestBatteryPoisonedSweepOthersComplete(t *testing.T) {
 	}
 }
 
-// TestBatteryProgressAggregation: ObserveBattery receives battery-wide
-// snapshots whose final state accounts every sweep and cell.
+// TestBatteryProgressAggregation: OnBatteryProgress receives
+// battery-wide snapshots whose final state accounts every sweep and
+// cell.
 func TestBatteryProgressAggregation(t *testing.T) {
 	var mu sync.Mutex
 	var last battery.Progress
-	ObserveBattery(func(p battery.Progress) {
+	c := Config{Parallel: 2, BatteryParallel: 2, OnBatteryProgress: func(p battery.Progress) {
 		mu.Lock()
 		last = p
 		mu.Unlock()
-	})
-	defer ObserveBattery(nil)
-	Configure(2, 0)
-	ConfigureBattery(2)
-	defer Configure(0, 0)
-	if _, err := Run("t1", "t4", "a2"); err != nil {
+	}}
+	if _, err := runTables(c, "t1", "t4", "a2"); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
@@ -190,14 +155,14 @@ func TestBatteryProgressAggregation(t *testing.T) {
 // TestRunUnknownExperiment: an unknown name fails up front, before any
 // sweep runs.
 func TestRunUnknownExperiment(t *testing.T) {
-	if _, err := Run("t1", "no-such-thing"); err == nil ||
+	if _, err := runTables(Config{}, "t1", "no-such-thing"); err == nil ||
 		!strings.Contains(err.Error(), `unknown experiment "no-such-thing"`) {
 		t.Errorf("err = %v, want unknown experiment", err)
 	}
 }
 
 // TestNamesCoverCanonicalBattery: the canonical name list drives both
-// All() and the CLI; it must resolve and stay in battery order.
+// full battery and the CLI; it must resolve and stay in battery order.
 func TestNamesCoverCanonicalBattery(t *testing.T) {
 	names := Names()
 	if len(names) != 20 {

@@ -12,21 +12,14 @@ import (
 	"dsa/internal/workload/catalog"
 )
 
-// benchSweep runs an experiment repeatedly with the given catalog
-// constructor standing in for the per-sweep catalog — catalog.New for
-// shared materialization, catalog.Disabled for the old per-cell
-// regeneration. Workers are pinned to 1 so the benchmark compares
-// total work, not scheduling luck.
-func benchSweep(b *testing.B, mk func() *catalog.Catalog, fn func() (*metrics.Table, error)) {
+// benchSweep runs an experiment repeatedly, each run over a fresh store
+// from mk — catalog.New for shared materialization, catalog.Disabled
+// for the old per-cell regeneration. Workers are pinned to 1 so the
+// benchmark compares total work, not scheduling luck.
+func benchSweep(b *testing.B, mk func() *catalog.Catalog, fn func(Config) (*metrics.Table, error)) {
 	b.Helper()
-	Configure(1, 0)
-	defer Configure(0, 0)
-	old := newSweepCatalog
-	newSweepCatalog = mk
-	defer func() { newSweepCatalog = old }()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tb, err := fn()
+		tb, err := fn(Config{Parallel: 1, Store: mk()})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -42,8 +35,7 @@ func benchSweep(b *testing.B, mk func() *catalog.Catalog, fn func() (*metrics.Ta
 // catalog the trace is materialized once; with per-cell regeneration
 // each of the six cells pays the full generation again — the cost this
 // PR deletes.
-func scaledReplacementSweep() (*metrics.Table, error) {
-	sc := snapshot()
+func scaledReplacementSweep(sc Config) (*metrics.Table, error) {
 	const pageSize = 256
 	const refs = 400000
 	frameCounts := []int{4, 8, 12, 16, 24, 32}
@@ -75,6 +67,11 @@ func scaledReplacementSweep() (*metrics.Table, error) {
 		[]string{"frames", "faults"}, cells)
 }
 
+// named binds a battery experiment for benchSweep.
+func named(name string) func(Config) (*metrics.Table, error) {
+	return func(c Config) (*metrics.Table, error) { return runOne(c, name) }
+}
+
 // BenchmarkScaledSweepSharedCatalog vs PerCellRegen: the headline
 // comparison — six cells sharing one 400k-reference trace.
 func BenchmarkScaledSweepSharedCatalog(b *testing.B) {
@@ -90,20 +87,20 @@ func BenchmarkScaledSweepPerCellRegen(b *testing.B) {
 // cells over 3 request streams — shared, each stream generates once;
 // regenerating, 18 times).
 func BenchmarkT2PlacementSharedCatalog(b *testing.B) {
-	benchSweep(b, catalog.New, T2Placement)
+	benchSweep(b, catalog.New, named("t2"))
 }
 
 func BenchmarkT2PlacementPerCellRegen(b *testing.B) {
-	benchSweep(b, catalog.Disabled, T2Placement)
+	benchSweep(b, catalog.Disabled, named("t2"))
 }
 
 // BenchmarkT1ReplacementSharedCatalog vs PerCellRegen: the battery's
 // trace-heaviest sweep (9 cells over 3 traces, with a 30000-reference
 // working-set trace among them).
 func BenchmarkT1ReplacementSharedCatalog(b *testing.B) {
-	benchSweep(b, catalog.New, T1Replacement)
+	benchSweep(b, catalog.New, named("t1"))
 }
 
 func BenchmarkT1ReplacementPerCellRegen(b *testing.B) {
-	benchSweep(b, catalog.Disabled, T1Replacement)
+	benchSweep(b, catalog.Disabled, named("t1"))
 }

@@ -1,14 +1,23 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
 
 	"dsa/internal/engine"
+	"dsa/internal/metrics"
 	"dsa/internal/sim"
 	"dsa/internal/workload/catalog"
 )
+
+// runTable runs ad-hoc cells as an unregistered table sweep under c,
+// through the same engine aggregation registered sweeps use.
+func runTable(c Config, title string, header []string, cells []cell) (*metrics.Table, error) {
+	d := &sweepDef{id: title, title: title, header: header, build: eraseCells(func(Config) []cell { return cells })}
+	return d.runCtx(context.Background(), c)
+}
 
 // withCatalogSpy routes every sweep's catalog through fn for the
 // duration of the call to run.
@@ -31,9 +40,7 @@ func TestSweepMaterializesEachWorkloadOnce(t *testing.T) {
 				cat = c
 			}
 		}, func() {
-			Configure(parallel, 0)
-			defer Configure(0, 0)
-			if _, err := T1Replacement(); err != nil {
+			if _, err := runOne(Config{Parallel: parallel}, "t1"); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -65,9 +72,7 @@ func TestNonzeroSeedRederivesCatalogKeys(t *testing.T) {
 				cat = c
 			}
 		}, func() {
-			Configure(2, seed)
-			defer Configure(0, 0)
-			if _, err := T1Replacement(); err != nil {
+			if _, err := runOne(Config{Parallel: 2, Seed: seed}, "t1"); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -86,7 +91,7 @@ func TestNonzeroSeedRederivesCatalogKeys(t *testing.T) {
 
 	alt := keysAt(99)
 	// Seed 99: every key re-derives through sim.SeedFor — exactly the
-	// derivation runConfig.seeded performs.
+	// derivation Config.seeded performs.
 	wantAlt := fmt.Sprintf("t1/page-string/working-set@%x", sim.SeedFor(99, "workload-seed:5"))
 	found := false
 	for _, k := range alt {
@@ -112,12 +117,8 @@ func TestNonzeroSeedRederivesCatalogKeys(t *testing.T) {
 // tables stay byte-identical.
 func TestBatteryStoreSharesAcrossSweeps(t *testing.T) {
 	store := catalog.New()
-	UseStore(store)
-	defer UseStore(nil)
-	Configure(4, 0)
-	defer Configure(0, 0)
-
-	first, err := T1Replacement()
+	c := Config{Parallel: 4, Store: store}
+	first, err := runOne(c, "t1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestBatteryStoreSharesAcrossSweeps(t *testing.T) {
 			sweepCat = c
 		}
 	}, func() {
-		second, err := T1Replacement()
+		second, err := runOne(c, "t1")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,9 +166,7 @@ func TestAllColdVsWarmDiskStore(t *testing.T) {
 	logf := func(string, ...interface{}) {} // fig4's refs are deliberately not disk-cacheable
 	runBattery := func() (string, catalog.Stats) {
 		store := catalog.NewStore(catalog.Options{Dir: dir, Log: logf})
-		UseStore(store)
-		defer UseStore(nil)
-		return renderAll(t, 4, 0), store.Stats()
+		return renderNamed(t, Config{Parallel: 4, Store: store}), store.Stats()
 	}
 	cold, coldStats := runBattery()
 	warm, warmStats := runBattery()
@@ -193,7 +192,7 @@ func TestAllColdVsWarmDiskStore(t *testing.T) {
 // This is the experiments-level counterpart of the engine poisoning
 // test, run through runTable's real aggregation path.
 func TestPoisonedWorkloadFailsOnlyItsCells(t *testing.T) {
-	sc := snapshot()
+	sc := Config{}
 	var cells []cell
 	for _, wl := range []string{"healthy", "poisoned"} {
 		for i := 0; i < 3; i++ {

@@ -70,9 +70,7 @@ func TestAllMatchesGoldenThroughDistPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool := newWorkerPool(t, 2)
-	UseExecutor(pool)
-	defer UseExecutor(nil)
-	got := renderAll(t, 0, 0)
+	got := renderNamed(t, Config{Executor: pool})
 	if got != string(want) {
 		t.Errorf("distributed battery diverged from serial golden baseline\n"+
 			"got %d bytes, want %d bytes\nfirst divergence: %s",
@@ -103,9 +101,7 @@ func TestAllMatchesGoldenThroughBatchedDistPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool := newBatchWorkerPool(t, 2, 5)
-	UseExecutor(pool)
-	defer UseExecutor(nil)
-	got := renderAll(t, 0, 0)
+	got := renderNamed(t, Config{Executor: pool})
 	if got != string(want) {
 		t.Errorf("batched distributed battery diverged from serial golden baseline\n"+
 			"got %d bytes, want %d bytes\nfirst divergence: %s",
@@ -120,20 +116,15 @@ func TestAllMatchesGoldenThroughBatchedDistPool(t *testing.T) {
 // workload key; the worker must re-derive them identically from the
 // base seed alone.
 func TestDistNonzeroSeedMatchesInProcess(t *testing.T) {
-	run := func() string {
-		Configure(4, 99)
-		defer Configure(0, 0)
-		tb, err := T1Replacement()
+	run := func(x engine.Executor) string {
+		tb, err := runOne(Config{Parallel: 4, Seed: 99, Executor: x}, "t1")
 		if err != nil {
 			t.Fatal(err)
 		}
 		return tb.String()
 	}
-	local := run()
-	pool := newWorkerPool(t, 2)
-	UseExecutor(pool)
-	defer UseExecutor(nil)
-	if distributed := run(); distributed != local {
+	local := run(nil)
+	if distributed := run(newWorkerPool(t, 2)); distributed != local {
 		t.Errorf("distributed seed-99 T1 diverged from in-process:\n%s\nwant:\n%s", distributed, local)
 	}
 }
@@ -156,7 +147,7 @@ func TestRunRemoteCell(t *testing.T) {
 		t.Fatal(err)
 	}
 	var local interface{}
-	for _, cl := range t7Cells(runConfig{}) {
+	for _, cl := range t7Cells(Config{}) {
 		if cl.key == key {
 			local, err = cl.run(engine.Env{RNG: sim.NewRNG(sim.SeedFor(0, key)), Catalog: catalog.New()})
 			if err != nil {

@@ -1,12 +1,15 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
+
+	"dsa/internal/metrics"
 )
 
 // num parses a table cell as float.
@@ -20,7 +23,7 @@ func num(t *testing.T, row []string, col int) float64 {
 }
 
 func TestFig1AllNamesTranslate(t *testing.T) {
-	tb, err := Fig1ArtificialContiguity()
+	tb, err := runOne(Config{}, "fig1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +40,7 @@ func TestFig1AllNamesTranslate(t *testing.T) {
 }
 
 func TestFig2MappingCostsOneCycle(t *testing.T) {
-	tb, err := Fig2SimpleMapping()
+	tb, err := runOne(Config{}, "fig2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +53,7 @@ func TestFig2MappingCostsOneCycle(t *testing.T) {
 }
 
 func TestFig3WaitFractionMonotoneInFetchTime(t *testing.T) {
-	tb, err := Fig3SpaceTime()
+	tb, err := runOne(Config{}, "fig3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +83,7 @@ func TestFig3WaitFractionMonotoneInFetchTime(t *testing.T) {
 }
 
 func TestFig4TLBRecoversAddressingOverhead(t *testing.T) {
-	tb, err := Fig4TwoLevelMapping()
+	tb, err := runOne(Config{}, "fig4")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +108,7 @@ func TestFig4TLBRecoversAddressingOverhead(t *testing.T) {
 }
 
 func TestT1MINIsLowerBound(t *testing.T) {
-	tb, err := T1Replacement()
+	tb, err := runOne(Config{}, "t1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +124,7 @@ func TestT1MINIsLowerBound(t *testing.T) {
 }
 
 func TestT1LearningWinsOnLoop(t *testing.T) {
-	tb, err := T1Replacement()
+	tb, err := runOne(Config{}, "t1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +143,7 @@ func TestT1LearningWinsOnLoop(t *testing.T) {
 }
 
 func TestT1LRUBeatsFIFOOnWorkingSet(t *testing.T) {
-	tb, err := T1Replacement()
+	tb, err := runOne(Config{}, "t1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +159,7 @@ func TestT1LRUBeatsFIFOOnWorkingSet(t *testing.T) {
 }
 
 func TestT2FirstFitBeatsWorstFit(t *testing.T) {
-	tb, err := T2Placement()
+	tb, err := runOne(Config{}, "t2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +183,7 @@ func TestT2FirstFitBeatsWorstFit(t *testing.T) {
 }
 
 func TestT3WasteGrowsTableShrinks(t *testing.T) {
-	tb, err := T3UnitSize()
+	tb, err := runOne(Config{}, "t3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +210,7 @@ func TestT3WasteGrowsTableShrinks(t *testing.T) {
 }
 
 func TestT4AllSevenMachines(t *testing.T) {
-	tb, err := T4Machines()
+	tb, err := runOne(Config{}, "t4")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +232,7 @@ func TestT4AllSevenMachines(t *testing.T) {
 }
 
 func TestT5AdviceOrdering(t *testing.T) {
-	tb, err := T5Predictive()
+	tb, err := runOne(Config{}, "t5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +251,7 @@ func TestT5AdviceOrdering(t *testing.T) {
 }
 
 func TestT6DualReducesWaste(t *testing.T) {
-	tb, err := T6DualPageSize()
+	tb, err := runOne(Config{}, "t6")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +273,7 @@ func TestT6DualReducesWaste(t *testing.T) {
 }
 
 func TestT7SymbolicNeverFails(t *testing.T) {
-	tb, err := T7NameSpace()
+	tb, err := runOne(Config{}, "t7")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +293,7 @@ func TestT7SymbolicNeverFails(t *testing.T) {
 }
 
 func TestT8RiseThenCollapse(t *testing.T) {
-	tb, err := T8Overlap()
+	tb, err := runOne(Config{}, "t8")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +314,7 @@ func TestT8RiseThenCollapse(t *testing.T) {
 }
 
 func TestAllRuns(t *testing.T) {
-	tables, err := All()
+	tables, err := runTables(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +332,7 @@ func TestAllRuns(t *testing.T) {
 }
 
 func TestT8bTraceDrivenOverlapRises(t *testing.T) {
-	tb, err := T8OverlapTraced()
+	tb, err := runOne(Config{}, "t8b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +347,7 @@ func TestT8bTraceDrivenOverlapRises(t *testing.T) {
 }
 
 func TestA1ReserveCutsWaiting(t *testing.T) {
-	tb, err := A1ReserveFrames()
+	tb, err := runOne(Config{}, "a1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +362,7 @@ func TestA1ReserveCutsWaiting(t *testing.T) {
 }
 
 func TestA2DeferredLeavesMoreFreeBlocks(t *testing.T) {
-	tb, err := A2Coalescing()
+	tb, err := runOne(Config{}, "a2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +379,7 @@ func TestA2DeferredLeavesMoreFreeBlocks(t *testing.T) {
 }
 
 func TestA3CompactionTradesMovesForEvictions(t *testing.T) {
-	tb, err := A3Compaction()
+	tb, err := runOne(Config{}, "a3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +398,7 @@ func TestA3CompactionTradesMovesForEvictions(t *testing.T) {
 }
 
 func TestA4UtilizationFallsWithRequestSize(t *testing.T) {
-	tb, err := A4WaldUtilization()
+	tb, err := runOne(Config{}, "a4")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +420,7 @@ func TestA4UtilizationFallsWithRequestSize(t *testing.T) {
 }
 
 func TestA5FlushesDegradeTLB(t *testing.T) {
-	tb, err := A5TLBFlush()
+	tb, err := runOne(Config{}, "a5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +437,7 @@ func TestA5FlushesDegradeTLB(t *testing.T) {
 }
 
 func TestA6TLBCutsElapsed(t *testing.T) {
-	tb, err := A6SegmentedPaging()
+	tb, err := runOne(Config{}, "a6")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,7 +456,7 @@ func TestA6TLBCutsElapsed(t *testing.T) {
 }
 
 func TestT0DynamicBeatsStaticOverlays(t *testing.T) {
-	tb, err := T0Overlay()
+	tb, err := runOne(Config{}, "t0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,19 +480,31 @@ func TestT0DynamicBeatsStaticOverlays(t *testing.T) {
 	}
 }
 
-// renderAll runs the full battery at the given engine configuration
-// and renders every table the way cmd/dsafig prints them.
-func renderAll(t *testing.T, parallel int, seed uint64) string {
-	t.Helper()
-	Configure(parallel, seed)
-	defer Configure(0, 0)
-	tables, err := All()
+// runTables runs the named experiments (all of them when names is
+// empty) as one battery under c and collects their tables.
+func runTables(c Config, names ...string) ([]*metrics.Table, error) {
+	var out []*metrics.Table
+	err := StreamConfig(context.Background(), c, func(tb *metrics.Table) { out = append(out, tb) }, names...)
+	return out, err
+}
+
+// runOne runs one named experiment under c.
+func runOne(c Config, name string) (*metrics.Table, error) {
+	tables, err := runTables(c, name)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
+	return tables[0], nil
+}
+
+// renderNamed runs the named experiments (all of them when names is
+// empty) under c and renders their tables the way cmd/dsafig prints
+// them.
+func renderNamed(t *testing.T, c Config, names ...string) string {
+	t.Helper()
 	var b strings.Builder
-	for _, tb := range tables {
-		fmt.Fprintln(&b, tb)
+	if err := StreamConfig(context.Background(), c, func(tb *metrics.Table) { fmt.Fprintln(&b, tb) }, names...); err != nil {
+		t.Fatal(err)
 	}
 	return b.String()
 }
@@ -502,7 +517,7 @@ func TestAllMatchesSerialGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := renderAll(t, 8, 0)
+	got := renderNamed(t, Config{Parallel: 8})
 	if got != string(want) {
 		t.Errorf("engine output diverged from serial golden baseline\n"+
 			"got %d bytes, want %d bytes\nfirst divergence: %s",
@@ -514,8 +529,8 @@ func TestAllMatchesSerialGolden(t *testing.T) {
 // aggregated tables at parallel=1 and parallel=8 — scheduling must
 // never leak into results.
 func TestAllDeterministicAcrossParallelism(t *testing.T) {
-	serial := renderAll(t, 1, 0)
-	parallel := renderAll(t, 8, 0)
+	serial := renderNamed(t, Config{Parallel: 1})
+	parallel := renderNamed(t, Config{Parallel: 8})
 	if serial != parallel {
 		t.Errorf("parallel=8 diverged from parallel=1\nfirst divergence: %s",
 			firstDiff(parallel, serial))
@@ -527,9 +542,7 @@ func TestAllDeterministicAcrossParallelism(t *testing.T) {
 // reproducible run to run.
 func TestNonzeroSeedExploresNewScenario(t *testing.T) {
 	run := func(seed uint64) string {
-		Configure(4, seed)
-		defer Configure(0, 0)
-		tb, err := T1Replacement()
+		tb, err := runOne(Config{Parallel: 4, Seed: seed}, "t1")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -27,26 +27,24 @@ import (
 
 // fig2Trace materializes the uniform-random trace both Figure 2 cells
 // replay.
-func fig2Trace(env engine.Env, sc runConfig, extent uint64, refs int) (trace.Trace, error) {
+func fig2Trace(env engine.Env, sc Config, extent uint64, refs int) (trace.Trace, error) {
 	return shared(env, sc, "fig2/uniform-random", 21, func(rng *sim.RNG) (trace.Trace, error) {
 		return workload.UniformRandom(rng, extent, refs), nil
 	})
 }
 
-// Fig1ArtificialContiguity reproduces Figure 1: a set of separate
+// fig1Def reproduces Figure 1: a set of separate
 // physical blocks, scattered in storage, made to correspond to a single
 // set of contiguous names. The table shows the name-to-address mapping
 // and verifies that every name in the contiguous range resolves while
 // offsets within blocks are preserved. The figure is one engine cell:
 // its rows share running state (the previous block's end address).
-func Fig1ArtificialContiguity() (*metrics.Table, error) { return fig1Def.run() }
-
 var fig1Def = registerSweep("fig1",
 	"Figure 1 — artificial name contiguity (contiguous names, scattered blocks)",
 	[]string{"name range", "page", "frame", "absolute range", "contiguous?"},
 	fig1Cells)
 
-func fig1Cells(runConfig) []cell {
+func fig1Cells(Config) []cell {
 	single := cell{
 		key: "fig1/scatter",
 		run: func(engine.Env) (engine.RowBatch, error) {
@@ -103,21 +101,19 @@ func fig1Cells(runConfig) []cell {
 	return []cell{single}
 }
 
-// Fig2SimpleMapping reproduces Figure 2: the simple one-level mapping
+// fig2Def reproduces Figure 2: the simple one-level mapping
 // scheme, in which the most significant bits of the name index a table
 // of block addresses. The table compares addressing cost without any
 // mapping (relocation/limit pair) against the one-level mapped path,
 // quantifying the overhead the mapping device introduces. The two
 // schemes run as independent engine cells replaying the same cataloged
 // trace.
-func Fig2SimpleMapping() (*metrics.Table, error) { return fig2Def.run() }
-
 var fig2Def = registerSweep("fig2",
 	"Figure 2 — simple mapping scheme: addressing cost per reference",
 	[]string{"scheme", "refs", "table accesses", "extra cost/ref (core cycles)"},
 	fig2Cells)
 
-func fig2Cells(sc runConfig) []cell {
+func fig2Cells(sc Config) []cell {
 	const extent = 64 * 256
 	const refs = 20000
 	unmapped := cell{
@@ -170,7 +166,7 @@ func fig2Cells(sc runConfig) []cell {
 	return []cell{unmapped, mapped}
 }
 
-// Fig3SpaceTime reproduces Figure 3: storage utilization with demand
+// fig3Def reproduces Figure 3: storage utilization with demand
 // paging. A working-set program runs with a fixed core allotment while
 // the page-fetch time sweeps from drum-fast to disk-slow; the waiting
 // share of the space-time product balloons exactly as the figure's
@@ -178,15 +174,13 @@ func fig2Cells(sc runConfig) []cell {
 // space-minimizing property of demand paging. Every (fetch time,
 // frames) point is an independent engine cell; all nine replay the one
 // cataloged working-set trace.
-func Fig3SpaceTime() (*metrics.Table, error) { return fig3Def.run() }
-
 var fig3Def = registerSweep("fig3",
 	"Figure 3 — space-time product under demand paging",
 	[]string{"fetch access", "frames", "faults",
 		"active word-ticks", "waiting word-ticks", "wait fraction", "space-time total"},
 	fig3Cells)
 
-func fig3Cells(sc runConfig) []cell {
+func fig3Cells(sc Config) []cell {
 	const pageSize = 256
 	const virtPages = 64
 	point := func(access sim.Time, frames int) cell {
@@ -252,7 +246,7 @@ type fig4Point struct {
 	PerRef   float64
 }
 
-// Fig4TwoLevelMapping reproduces Figure 4: the two-level (segment
+// fig4Table reproduces Figure 4: the two-level (segment
 // table, page table) mapping scheme with a small associative memory.
 // The effective addressing overhead is measured as the associative
 // memory grows from absent to the 8+1 registers of the 360/67 and the
@@ -261,15 +255,8 @@ type fig4Point struct {
 // unacceptable". Each associative-memory size measures in its own
 // engine cell over the one cataloged segmented trace; the "vs no-TLB"
 // column is normalized against the zero-register cell in a serial
-// aggregation pass.
-func Fig4TwoLevelMapping() (*metrics.Table, error) {
-	return fig4Table(context.Background(), snapshot())
-}
-
-// fig4Table is Fig4TwoLevelMapping under an explicit config: the value
-// sweep runs through the engine, then the serial aggregation pass
-// normalizes every row against the no-TLB baseline cell.
-func fig4Table(ctx context.Context, sc runConfig) (*metrics.Table, error) {
+// aggregation pass over the value sweep's results.
+func fig4Table(ctx context.Context, sc Config) (*metrics.Table, error) {
 	points, err := runValueSweep[fig4Point](ctx, fig4Def, sc)
 	if err != nil {
 		return nil, err
@@ -288,7 +275,7 @@ func fig4Table(ctx context.Context, sc runConfig) (*metrics.Table, error) {
 
 var fig4Def = registerValueSweep("fig4", "Figure 4 — two-level mapping", fig4Cells)
 
-func fig4Cells(sc runConfig) []valueCell[fig4Point] {
+func fig4Cells(sc Config) []valueCell[fig4Point] {
 	const segs = 16
 	const segWords = 16 * 256
 	tlbSizes := []int{0, 1, 2, 4, 8, 9, 16, 44}

@@ -1,159 +1,27 @@
 package experiments
 
 import (
-	"context"
 	"strconv"
-	"sync"
 
 	"dsa/internal/engine"
-	"dsa/internal/engine/battery"
-	"dsa/internal/metrics"
 	"dsa/internal/sim"
 	"dsa/internal/workload/catalog"
 )
 
-// runConfig is the sweep configuration every experiment snapshots on
-// entry: how many engine workers to fan cells across, how many whole
-// sweeps the battery scheduler may run concurrently, the base seed
-// that perturbs workload generation, the optional progress observers,
-// the optional executor that replaces the in-process pool, and the
-// optional battery-scoped workload store.
-type runConfig struct {
-	parallel        int
-	batteryParallel int
-	seed            uint64
-	observe         func(sweep string, p engine.Progress)
-	bobserve        func(battery.Progress)
-	executor        engine.Executor
-	store           *catalog.Catalog
-	costs           *battery.CostManifest
-}
-
-var (
-	cfgMu           sync.Mutex
-	cfg             runConfig
-	observer        func(sweep string, p engine.Progress)
-	batteryObserver func(battery.Progress)
-	executor        engine.Executor
-	batteryStore    *catalog.Catalog
-	costManifest    *battery.CostManifest
-)
-
-// Configure sets the parallelism (<= 0 means GOMAXPROCS) and the base
-// seed for subsequent experiment runs. With seed 0 — the default —
-// every experiment uses its historical fixed workload seeds and the
-// tables reproduce the paper-exact serial output byte for byte at any
-// parallelism. A nonzero seed re-derives every workload seed through
-// sim.SeedFor, so the same experiment battery explores a fresh but
-// equally reproducible scenario.
-func Configure(parallel int, seed uint64) {
-	cfgMu.Lock()
-	defer cfgMu.Unlock()
-	cfg = runConfig{parallel: parallel, seed: seed}
-}
-
-// ConfigureBattery sets how many whole sweeps Run/All may have in
-// flight at once (<= 1, the default, runs the battery serially in
-// canonical order — exactly the historical behavior). Concurrency
-// never changes a byte: cells still seed from (base seed, cell key),
-// sweeps still share one battery store, and tables are re-emitted in
-// canonical order regardless of completion order. Configure resets
-// this to serial, so call ConfigureBattery after Configure.
-// cmd/dsasim and cmd/dsafig wire their -battery-parallel flags here.
-func ConfigureBattery(n int) {
-	cfgMu.Lock()
-	defer cfgMu.Unlock()
-	cfg.batteryParallel = n
-}
-
-// Observe installs a progress observer for subsequent experiment runs:
-// it receives a snapshot (cells done/failed/total, ETA) after every
-// cell of every sweep, tagged with the sweep's title. Pass nil to
-// remove the observer. cmd/dsafig wires its -progress flag here.
-func Observe(fn func(sweep string, p engine.Progress)) {
-	cfgMu.Lock()
-	defer cfgMu.Unlock()
-	observer = fn
-}
-
-// ObserveBattery installs a battery-wide progress observer for
-// subsequent Run/All batteries: it receives an aggregated snapshot
-// (sweeps done/running, cells done/failed/total across every started
-// sweep, the shared store's traffic, ETA) whenever a sweep starts or
-// finishes and after every cell. Pass nil to remove it. cmd/dsafig
-// wires -progress here when -battery-parallel > 1, where interleaved
-// per-sweep lines would be unreadable.
-func ObserveBattery(fn func(battery.Progress)) {
-	cfgMu.Lock()
-	defer cfgMu.Unlock()
-	batteryObserver = fn
-}
-
-// UseExecutor installs an engine executor for subsequent experiment
-// runs — the Options.Executor seam. cmd/dsafig wires its -workers flag
-// here with a dist.Pool, which ships every cell to a worker process by
-// {sweep id, cell key, base seed} (see DistTask); pass nil to restore
-// the in-process pool. Tables are byte-identical either way.
-func UseExecutor(x engine.Executor) {
-	cfgMu.Lock()
-	defer cfgMu.Unlock()
-	executor = x
-}
-
-// UseStore installs a battery-scoped workload store for subsequent
-// experiment runs: every sweep's catalog becomes a child scope of it,
-// so workloads shared across sweeps — or replayed from the store's
-// disk layer (catalog.Options.Dir) across processes and runs —
-// materialize once battery-wide. cmd/dsafig wires its -cache-dir flag
-// here; All() installs an in-memory battery store for its own duration
-// when none is configured. Pass nil to restore per-sweep catalogs.
-// Values never change: the store only deletes duplicated generation
-// work, so tables are byte-identical with or without it.
-func UseStore(c *catalog.Catalog) {
-	cfgMu.Lock()
-	defer cfgMu.Unlock()
-	batteryStore = c
-}
-
-// UseCosts installs a sweep-cost manifest for subsequent Run/All
-// batteries: each sweep's observed wall-clock time is recorded into it,
-// and with ConfigureBattery(n > 1) the scheduler feeds sweeps
-// longest-first by recorded cost — so the battery's tail is short
-// sweeps, not one late-declared straggler. Scheduling order never
-// changes output bytes (tables always re-emit in canonical order).
-// cmd/dsafig wires the manifest from its -cache-dir here and saves it
-// after the battery; pass nil to disable cost tracking.
-func UseCosts(m *battery.CostManifest) {
-	cfgMu.Lock()
-	defer cfgMu.Unlock()
-	costManifest = m
-}
-
-// snapshot returns the configuration an experiment should close over
-// before building cells, so a concurrent Configure cannot tear a
-// running sweep.
-func snapshot() runConfig {
-	cfgMu.Lock()
-	defer cfgMu.Unlock()
-	c := cfg
-	c.observe = observer
-	c.bobserve = batteryObserver
-	c.executor = executor
-	c.store = batteryStore
-	c.costs = costManifest
-	return c
-}
-
 // seeded maps an experiment's historical fixed seed through the
-// configured base seed. Cells that must share a workload (the policy
+// configured base seed. With Seed 0 every experiment uses its fixed
+// workload seeds and the tables reproduce the paper-exact serial
+// output byte for byte; a nonzero Seed re-derives every workload seed
+// through sim.SeedFor, so the battery explores a fresh but equally
+// reproducible scenario. Cells that must share a workload (the policy
 // columns of one table row, the rows of one sweep) all call seeded
 // with the same fixed value, so they still see identical inputs —
 // only the scenario as a whole moves with the base seed.
-func (c runConfig) seeded(fixed uint64) uint64 {
-	if c.seed == 0 {
+func (c Config) seeded(fixed uint64) uint64 {
+	if c.Seed == 0 {
 		return fixed
 	}
-	return sim.SeedFor(c.seed, "workload-seed:"+strconv.FormatUint(fixed, 10))
+	return sim.SeedFor(c.Seed, "workload-seed:"+strconv.FormatUint(fixed, 10))
 }
 
 // workloadKey names a shared workload in the sweep catalog: the
@@ -161,30 +29,21 @@ func (c runConfig) seeded(fixed uint64) uint64 {
 // derived seed means a nonzero base seed re-keys every workload through
 // sim.SeedFor, so a fresh scenario can never alias a stale
 // materialization.
-func (c runConfig) workloadKey(name string, fixed uint64) string {
+func (c Config) workloadKey(name string, fixed uint64) string {
 	return name + "@" + strconv.FormatUint(c.seeded(fixed), 16)
 }
-
-// newSweepCatalog builds the workload catalog each sweep shares.
-// Benchmarks swap in catalog.Disabled to measure the per-cell
-// regeneration baseline without touching any call site.
-var newSweepCatalog = catalog.New
 
 // catalogHook, when non-nil, observes each sweep's catalog as it is
 // created (test instrumentation).
 var catalogHook func(sweep string, c *catalog.Catalog)
 
 // newEngine builds the engine for one sweep: the sweep's catalog — a
-// child scope of the battery store when one is installed, a fresh
-// per-sweep catalog otherwise — plus the configured parallelism, seed,
-// and the progress observer bound to the sweep's title.
-func newEngine(c runConfig, sweep string) *engine.Engine {
-	cat := c.store.Child()
-	if cat == nil {
-		cat = newSweepCatalog()
-	}
-	opts := engine.Options{Parallel: c.parallel, Seed: c.seed, Catalog: cat, Executor: c.executor}
-	if obs := c.observe; obs != nil {
+// child scope of the battery store (engine.New makes a fresh one when
+// the config has no store) — plus the configured parallelism, seed,
+// executor, and the progress observer bound to the sweep's title.
+func newEngine(c Config, sweep string) *engine.Engine {
+	opts := engine.Options{Parallel: c.Parallel, Seed: c.Seed, Catalog: c.Store.Child(), Executor: c.Executor}
+	if obs := c.OnProgress; obs != nil {
 		opts.OnProgress = func(p engine.Progress) { obs(sweep, p) }
 	}
 	eng := engine.New(opts)
@@ -201,7 +60,7 @@ func newEngine(c runConfig, sweep string) *engine.Engine {
 // no byte of any table; it only deletes the duplicated generation work.
 // Callers must treat the returned value as read-only (see the catalog
 // package doc for the immutability contract).
-func shared[T any](env engine.Env, c runConfig, name string, fixed uint64, gen func(rng *sim.RNG) (T, error)) (T, error) {
+func shared[T any](env engine.Env, c Config, name string, fixed uint64, gen func(rng *sim.RNG) (T, error)) (T, error) {
 	return catalog.Get(env.Catalog, c.workloadKey(name, fixed), func() (T, error) {
 		return gen(sim.NewRNG(c.seeded(fixed)))
 	})
@@ -213,29 +72,6 @@ func shared[T any](env engine.Env, c runConfig, name string, fixed uint64, gen f
 type cell struct {
 	key string
 	run func(env engine.Env) (engine.RowBatch, error)
-}
-
-// runTable fans cells out across the engine and streams their row
-// batches into a table in cell order. A panicked cell — including one
-// that hit a poisoned catalog entry — is recorded as a FAILED row (the
-// rest of the sweep survives); an ordinary error aborts the table,
-// matching the old serial contract. Unlike registered sweeps
-// (sweepDef.run), these ad-hoc cells carry no Spec and always execute
-// in-process — the path tests and benchmarks use for one-off sweeps.
-func runTable(c runConfig, title string, header []string, cells []cell) (*metrics.Table, error) {
-	t := &metrics.Table{Title: title, Header: header}
-	eng := newEngine(c, title)
-	jobs := make([]engine.Job, len(cells))
-	for i, cl := range cells {
-		cl := cl
-		jobs[i] = engine.Job{Key: cl.key, Run: func(ctx context.Context, env engine.Env) (interface{}, error) {
-			return cl.run(env)
-		}}
-	}
-	if _, err := eng.FillTable(context.Background(), t, jobs); err != nil {
-		return nil, err
-	}
-	return t, nil
 }
 
 // valueCell is a cell that yields a typed intermediate value instead

@@ -22,7 +22,7 @@ var (
 
 // RegisterScenario makes a compiled scenario runnable as a battery
 // experiment and returns its wire id ("scenario/<name>@<hash>").
-// Stream/Run then accept either the full id or, when unambiguous, the
+// StreamConfig then accepts either the full id or, when unambiguous, the
 // bare scenario name. Registration is idempotent: the id embeds the
 // source hash, so registering the same file twice is a no-op and two
 // different files can never collide quietly — even under one name they
@@ -39,8 +39,8 @@ func RegisterScenario(s *scenario.Scenario) string {
 		id:     id,
 		title:  s.Title,
 		header: s.Header(),
-		build: func(sc runConfig) []anyCell {
-			cells := s.Cells(sc.seed)
+		build: func(c Config) []anyCell {
+			cells := s.Cells(c.Seed)
 			out := make([]anyCell, len(cells))
 			for i, cl := range cells {
 				cl := cl

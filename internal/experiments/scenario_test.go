@@ -1,11 +1,9 @@
 package experiments
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
-	"dsa/internal/metrics"
 	"dsa/internal/scenario"
 )
 
@@ -18,17 +16,6 @@ func loadT2Mirror(t *testing.T) *scenario.Scenario {
 		t.Fatal(err)
 	}
 	return s
-}
-
-// renderNamed runs the named experiments under the current
-// configuration and returns their printed tables.
-func renderNamed(t *testing.T, names ...string) string {
-	t.Helper()
-	var b strings.Builder
-	if err := Stream(func(tb *metrics.Table) { fmt.Fprintln(&b, tb) }, names...); err != nil {
-		t.Fatal(err)
-	}
-	return b.String()
 }
 
 // TestScenarioRoundTrip is the tentpole acceptance test: the shipped
@@ -46,24 +33,17 @@ func TestScenarioRoundTrip(t *testing.T) {
 		t.Fatalf("re-registration changed id: %q vs %q", again, id)
 	}
 
-	want := renderNamed(t, "t2")
-	if got := renderNamed(t, id); got != want {
+	want := renderNamed(t, Config{}, "t2")
+	if got := renderNamed(t, Config{}, id); got != want {
 		t.Fatalf("serial scenario differs from t2:\n%s", firstDiff(want, got))
 	}
-	if got := renderNamed(t, "t2-mirror"); got != want {
+	if got := renderNamed(t, Config{}, "t2-mirror"); got != want {
 		t.Fatalf("bare-name scenario differs from t2:\n%s", firstDiff(want, got))
 	}
-
-	Configure(4, 0)
-	defer Configure(0, 0)
-	if got := renderNamed(t, id); got != want {
+	if got := renderNamed(t, Config{Parallel: 4}, id); got != want {
 		t.Fatalf("parallel scenario differs from t2:\n%s", firstDiff(want, got))
 	}
-	Configure(0, 0)
-
-	UseExecutor(newWorkerPool(t, 2))
-	defer UseExecutor(nil)
-	if got := renderNamed(t, id); got != want {
+	if got := renderNamed(t, Config{Executor: newWorkerPool(t, 2)}, id); got != want {
 		t.Fatalf("distributed scenario differs from t2:\n%s", firstDiff(want, got))
 	}
 }
@@ -78,16 +58,11 @@ func TestScenarioSeedTravels(t *testing.T) {
 	s := loadT2Mirror(t)
 	id := RegisterScenario(s)
 
-	Configure(0, 99)
-	defer Configure(0, 0)
-	want := renderNamed(t, id)
-	if fixed := func() string { Configure(0, 0); defer Configure(0, 99); return renderNamed(t, id) }(); fixed == want {
+	want := renderNamed(t, Config{Seed: 99}, id)
+	if fixed := renderNamed(t, Config{}, id); fixed == want {
 		t.Fatal("base seed 99 did not move the scenario's streams")
 	}
-
-	UseExecutor(newWorkerPool(t, 2))
-	defer UseExecutor(nil)
-	if got := renderNamed(t, id); got != want {
+	if got := renderNamed(t, Config{Seed: 99, Executor: newWorkerPool(t, 2)}, id); got != want {
 		t.Fatalf("seeded distributed run differs:\n%s", firstDiff(want, got))
 	}
 }

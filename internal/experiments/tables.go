@@ -8,7 +8,6 @@ import (
 	"dsa/internal/core"
 	"dsa/internal/engine"
 	"dsa/internal/machine"
-	"dsa/internal/metrics"
 	"dsa/internal/replace"
 	"dsa/internal/scenario"
 	"dsa/internal/sim"
@@ -31,7 +30,7 @@ func toPageIDs(pages []uint64) []replace.PageID {
 	return out
 }
 
-// T1Replacement reproduces the replacement-strategy comparison the
+// t1Def reproduces the replacement-strategy comparison the
 // paper builds on Belady's study [1]: fault counts for MIN, LRU, Clock,
 // FIFO, Random, the M44 class policy and the ATLAS learning program,
 // across memory sizes and reference regimes. Expected shape: MIN is a
@@ -40,15 +39,13 @@ func toPageIDs(pages []uint64) []replace.PageID {
 // Each trace × frame-count pair is an independent engine cell; the
 // three traces are materialized once each in the sweep catalog and
 // shared read-only across the frame-count cells.
-func T1Replacement() (*metrics.Table, error) { return t1Def.run() }
-
 var t1Def = registerSweep("t1",
 	"T1 — replacement strategies (faults; after Belady [1])",
 	[]string{"trace", "frames",
 		"belady-min", "lru", "clock", "fifo", "random", "m44-random", "atlas-learning"},
 	t1Cells)
 
-func t1Cells(sc runConfig) []cell {
+func t1Cells(sc Config) []cell {
 	const pageSize = 256
 	traces := []struct {
 		name  string
@@ -110,7 +107,7 @@ func t1Cells(sc runConfig) []cell {
 	return cells
 }
 
-// T2Placement reproduces the placement-strategy comparison of the
+// t2Def reproduces the placement-strategy comparison of the
 // Placement Strategies section: first fit, best fit (B5000), worst
 // fit, next fit, two-ended and the Rice chain, across request-size
 // distributions. Reported: achieved utilization when the first
@@ -120,15 +117,13 @@ func t1Cells(sc runConfig) []cell {
 // pair is an independent engine cell; each distribution's request
 // stream is materialized once in the sweep catalog and replayed by all
 // six policy cells.
-func T2Placement() (*metrics.Table, error) { return t2Def.run() }
-
 var t2Def = registerSweep("t2",
 	"T2 — placement strategies (heap 64Ki words)",
 	[]string{"distribution", "policy", "allocs", "frag failures",
 		"utilization@fail", "ext frag", "probes/alloc"},
 	t2Cells)
 
-func t2Cells(sc runConfig) []cell {
+func t2Cells(sc Config) []cell {
 	const heapWords = 65536
 	dists := []workload.RequestConfig{
 		{Dist: workload.SizesUniform, MinSize: 16, MaxSize: 1024, MeanLifetime: 60, Count: 8000},
@@ -169,7 +164,7 @@ func t2Cells(sc runConfig) []cell {
 
 // t3Sizes materializes the segment population every T3 cell shares and
 // returns it with its total word count.
-func t3Sizes(env engine.Env, sc runConfig) ([]int, int, error) {
+func t3Sizes(env engine.Env, sc Config) ([]int, int, error) {
 	sizes, err := shared(env, sc, "t3/segment-sizes", 17, func(rng *sim.RNG) ([]int, error) {
 		return workload.SegmentSizes(rng, 3000, 8192), nil
 	})
@@ -183,7 +178,7 @@ func t3Sizes(env engine.Env, sc runConfig) ([]int, int, error) {
 	return sizes, total, nil
 }
 
-// T3UnitSize reproduces the unit-of-allocation discussion: "If it is
+// t3Def reproduces the unit-of-allocation discussion: "If it is
 // too small, there will be an unacceptable amount of overhead. If it is
 // too large, too much space will be wasted." A compiler-shaped segment
 // population is held in pages of sweeping size; internal waste rises
@@ -192,15 +187,13 @@ func t3Sizes(env engine.Env, sc runConfig) ([]int, int, error) {
 // trades the internal waste for external fragmentation. One engine
 // cell per page size plus one for the variable-unit heap, all sharing
 // one cataloged segment population.
-func T3UnitSize() (*metrics.Table, error) { return t3Def.run() }
-
 var t3Def = registerSweep("t3",
 	"T3 — choosing the unit of allocation (3000 segments)",
 	[]string{"unit", "pages", "table words", "internal waste",
 		"waste frac", "ext frag"},
 	t3Cells)
 
-func t3Cells(sc runConfig) []cell {
+func t3Cells(sc Config) []cell {
 	var cells []cell
 	for _, pageSize := range []int{64, 128, 256, 512, 1024, 2048, 4096} {
 		pageSize := pageSize
@@ -254,20 +247,18 @@ func t3Cells(sc runConfig) []cell {
 	return cells
 }
 
-// T4Machines runs the common segmented workload on all seven appendix
+// t4Def runs the common segmented workload on all seven appendix
 // machines and reports their behaviour side by side — one engine cell
 // per machine. The workload is materialized once in the sweep catalog;
 // every machine replays the same immutable declaration/reference
 // stream while the seven historical simulations proceed concurrently.
-func T4Machines() (*metrics.Table, error) { return t4Def.run() }
-
 var t4Def = registerSweep("t4",
 	"T4 — the appendix survey on a common workload (32 segments, 20000 refs)",
 	[]string{"machine", "app.", "characteristics", "fetches",
 		"wait frac", "elapsed (cycles)", "ext frag"},
 	t4Cells)
 
-func t4Cells(sc runConfig) []cell {
+func t4Cells(sc Config) []cell {
 	// Same order as machine.All.
 	ctors := []struct {
 		name string
@@ -321,7 +312,7 @@ func t4Cells(sc runConfig) []cell {
 	return cells
 }
 
-// T5Predictive reproduces the predictive-information discussion using
+// t5Def reproduces the predictive-information discussion using
 // the M44/44X (the system with the WillNeed/WontNeed instructions):
 // a phase-structured program runs under pure demand paging, with
 // accurate advice, and with adversarially wrong advice. Correct advice
@@ -330,15 +321,13 @@ func t4Cells(sc runConfig) []cell {
 // argument for treating directives as advisory tuning. One engine cell
 // per advice variant, all replaying the same cataloged base program
 // (the advice wrappers copy; the base is never mutated).
-func T5Predictive() (*metrics.Table, error) { return t5Def.run() }
-
 var t5Def = registerSweep("t5",
 	"T5 — predictive information on the M44/44X",
 	[]string{"variant", "faults", "prefetches", "advice evictions",
 		"wait frac", "space-time total", "elapsed"},
 	t5Cells)
 
-func t5Cells(sc runConfig) []cell {
+func t5Cells(sc Config) []cell {
 	const pageSize = 512
 	const phaseWords = 4 * pageSize
 	variants := []struct {
@@ -386,20 +375,18 @@ func t5Cells(sc runConfig) []cell {
 	return cells
 }
 
-// T6DualPageSize reproduces the MULTICS dual-page-size argument (A.6):
+// t6Def reproduces the MULTICS dual-page-size argument (A.6):
 // with 64- and 1024-word page frames "the loss in storage utilization
 // caused by fragmentation occurring within pages can be reduced", at
 // the cost of added placement/replacement complexity (more table
 // entries to manage). One engine cell per paging scheme over the same
 // cataloged segment population.
-func T6DualPageSize() (*metrics.Table, error) { return t6Def.run() }
-
 var t6Def = registerSweep("t6",
 	"T6 — MULTICS dual page sizes (3000 segments)",
 	[]string{"scheme", "pages", "table words", "waste words", "waste frac"},
 	t6Cells)
 
-func t6Cells(sc runConfig) []cell {
+func t6Cells(sc Config) []cell {
 	mkSizes := func(env engine.Env) ([]int, int, error) {
 		sizes, err := shared(env, sc, "t6/segment-sizes", 23, func(rng *sim.RNG) ([]int, error) {
 			return workload.SegmentSizes(rng, 3000, 262144/16), nil // cap at scaled max segment
@@ -451,7 +438,7 @@ func t6Cells(sc runConfig) []cell {
 	return []cell{single("64-word only", 64), single("1024-word only", 1024), dual}
 }
 
-// T7NameSpace reproduces the symbolic-vs-linear segment-naming
+// t7Def reproduces the symbolic-vs-linear segment-naming
 // comparison of the Name Space section: under creation/destruction
 // churn, a linearly segmented name space must find and eventually fails
 // to find contiguous runs of segment names ("one does not need to
@@ -462,15 +449,13 @@ func t6Cells(sc runConfig) []cell {
 // generated inline (not cataloged): each step's RNG draws depend on the
 // dictionary's own success or failure, so the sequence is simulation
 // state, not a pure workload.
-func T7NameSpace() (*metrics.Table, error) { return t7Def.run() }
-
 var t7Def = registerSweep("t7",
 	"T7 — segment-name bookkeeping: symbolic vs linear dictionary",
 	[]string{"dictionary", "ops", "probes or lookups",
 		"frag failures", "largest free run", "free names"},
 	t7Cells)
 
-func t7Cells(sc runConfig) []cell {
+func t7Cells(sc Config) []cell {
 	const slots = 256
 	const ops = 4000
 
@@ -538,22 +523,20 @@ func t7Cells(sc runConfig) []cell {
 	return []cell{linear, symbolic}
 }
 
-// T8Overlap reproduces the fetch-overlap argument: "a large space-time
+// t8Def reproduces the fetch-overlap argument: "a large space-time
 // product will not overly affect the performance of a system if the
 // time spent on fetching pages can normally be overlapped with the
 // execution of other programs" — until per-program core becomes so
 // small that fault rates explode (thrashing). One engine cell per
 // multiprogramming degree; the sweep is analytic (no generated
 // workload to catalog).
-func T8Overlap() (*metrics.Table, error) { return t8Def.run() }
-
 var t8Def = registerSweep("t8",
 	"T8 — multiprogramming overlap of page fetches",
 	[]string{"programs", "frames/program", "refs between faults",
 		"CPU utilization", "faults"},
 	t8Cells)
 
-func t8Cells(sc runConfig) []cell {
+func t8Cells(sc Config) []cell {
 	base := core.MultiprogramConfig{
 		TotalFrames:      64,
 		FetchTime:        5000,
@@ -581,22 +564,20 @@ func t8Cells(sc runConfig) []cell {
 	return cells
 }
 
-// T8OverlapTraced is the trace-driven companion of T8: instead of the
+// t8bDef is the trace-driven companion of T8: instead of the
 // analytic lifetime curve, N real working-set programs run on real
 // pagers sharing one core, the processor switching on every fault.
 // Each multiprogramming degree is an engine cell running its own
 // shared-core simulation; program i's trace is materialized once in
 // the sweep catalog, so degree 8 reuses the traces degrees 1–4
 // already forced.
-func T8OverlapTraced() (*metrics.Table, error) { return t8bDef.run() }
-
 var t8bDef = registerSweep("t8b",
 	"T8b — multiprogramming overlap, trace-driven (shared core, LRU pagers)",
 	[]string{"programs", "frames/program", "faults",
 		"switches", "CPU utilization"},
 	t8bCells)
 
-func t8bCells(sc runConfig) []cell {
+func t8bCells(sc Config) []cell {
 	const refs = 4000
 	degrees := []int{1, 2, 4, 8}
 	cells := make([]cell, len(degrees))

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"dsa/internal/engine"
+	"dsa/internal/engine/battery"
 	"dsa/internal/experiments"
 	"dsa/internal/metrics"
 	"dsa/internal/workload/catalog"
@@ -297,7 +298,7 @@ func TestPanickingSweepContainedConcurrentTenantUnaffected(t *testing.T) {
 }
 
 func TestBudgetPerTenantCapAndFairHandoff(t *testing.T) {
-	b := NewBudget(4, 2)
+	b := battery.NewBudget(4, 2)
 	ctx := context.Background()
 
 	// alice takes her full per-tenant share...

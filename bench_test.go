@@ -19,13 +19,17 @@ import (
 	"dsa/internal/alloc"
 	"dsa/internal/engine"
 	"dsa/internal/experiments"
+	"dsa/internal/machine"
 	"dsa/internal/mapping"
 	"dsa/internal/metrics"
 	"dsa/internal/paging"
 	"dsa/internal/replace"
 	"dsa/internal/sim"
 	"dsa/internal/store"
+	"dsa/internal/trace"
 	"dsa/internal/workload"
+	"dsa/internal/workload/catalog"
+	"dsa/internal/workload/stock"
 )
 
 // benchTable runs one named experiment per iteration.
@@ -332,6 +336,53 @@ func BenchmarkAllSweep(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkMachineReplay replays what `dsasim -machine all` runs: each
+// of the seven appendix machines at the CLIs' capacity scale, built
+// fresh, replays one working-set trace and one segmented workload. The
+// traces are generated once, outside the timer, so the figure is
+// machine build plus replay: store levels, mapping, paging,
+// replacement and the segment manager, with their allocations.
+func BenchmarkMachineReplay(b *testing.B) {
+	const scale, refs, segs, seed = 2, 50000, 32, 1
+	ctors := []func(int) (*machine.Machine, error){
+		machine.Atlas, machine.M44, machine.B5000, machine.Rice, machine.B8500, machine.Multics, machine.M67,
+	}
+	cat := catalog.New()
+	linear := make([]trace.Trace, len(ctors))
+	for i, ctor := range ctors {
+		m, err := ctor(scale)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if linear[i], err = stock.Linear(cat, "workingset", stock.Extent(m), refs, seed); err != nil {
+			b.Fatal(err)
+		}
+	}
+	segmented, err := stock.Segments(cat, segs, refs, seed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, ctor := range ctors {
+			m, err := ctor(scale)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := m.RunLinear(linear[j]); err != nil {
+				b.Fatal(err)
+			}
+			if m, err = ctor(scale); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := m.RunWorkload(segmented); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
 

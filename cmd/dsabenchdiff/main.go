@@ -10,16 +10,23 @@
 //
 // parse reads benchmark result lines ("BenchmarkFoo/case-8  100  1234
 // ns/op  56 B/op  7 allocs/op") from stdin or a file. The trailing
-// -GOMAXPROCS suffix is stripped so snapshots compare across machines
-// with different core counts. With -count > 1 a benchmark appears
-// several times; parse keeps the fastest run per name, the standard
-// noise floor for gating (the minimum is the run least disturbed by
-// the machine, and it is far more stable across CI hosts than the
-// mean).
+// -GOMAXPROCS suffix is stripped from the names and recorded once in
+// the snapshot's host block, next to the host's CPU count and the Go
+// version, so a snapshot says what machine shape produced it. With
+// -count > 1 a benchmark appears several times; parse keeps the
+// fastest run per name, the standard noise floor for gating (the
+// minimum is the run least disturbed by the machine, and it is far
+// more stable across CI hosts than the mean).
 //
-// diff prints one row per benchmark common to both snapshots — old
-// and new ns/op, the delta, and allocs movement — then the geometric
-// mean of the new/old time ratios. Benchmarks present on only one
+// diff refuses (exit 3) to compare snapshots that both record a
+// GOMAXPROCS and disagree on it: parallel benchmarks measured at
+// different parallelism are different experiments, and a caller gating
+// against a stored baseline can read exit 3 as "baseline stale". A
+// snapshot without a host block, or whose names mix GOMAXPROCS
+// suffixes, still compares, with a one-line warning. diff prints
+// one row per benchmark common to both snapshots — old and new ns/op,
+// the delta, and allocs movement — then the geometric mean of the
+// new/old time ratios. Benchmarks present on only one
 // side are listed but never gated. With -gate PCT the exit status
 // becomes 2 when the geomean regresses by more than PCT percent,
 // which is what lets CI hard-fail a pull request that slows the hot
@@ -37,6 +44,7 @@ import (
 	"math"
 	"os"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -53,8 +61,18 @@ type Result struct {
 	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
 }
 
-// Snapshot is the JSON file format: a sorted list of results.
+// Host describes the machine shape a snapshot was measured on.
+// GOMAXPROCS is 0 when the benchmark names disagree on it.
+type Host struct {
+	NProc      int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs,omitempty"`
+	GoVersion  string `json:"go_version"`
+}
+
+// Snapshot is the JSON file format: the host and a sorted list of
+// results. Snapshots written before the host was recorded have none.
 type Snapshot struct {
+	Host       *Host    `json:"host,omitempty"`
 	Benchmarks []Result `json:"benchmarks"`
 }
 
@@ -75,7 +93,7 @@ func main() {
 func usage() {
 	fmt.Fprintf(os.Stderr, `usage:
   dsabenchdiff parse [-o OUT.json] [BENCH.txt]   # bench output (or stdin) -> JSON snapshot
-  dsabenchdiff diff [-gate PCT] [-gate-allocs PCT] OLD.json NEW.json # delta table; exit 2 past a gate
+  dsabenchdiff diff [-gate PCT] [-gate-allocs PCT] OLD.json NEW.json # delta table; exit 2 past a gate, 3 on a GOMAXPROCS mismatch
 `)
 	os.Exit(64)
 }
@@ -90,13 +108,17 @@ func fatal(err error) {
 var procSuffix = regexp.MustCompile(`-\d+$`)
 
 // parseBench extracts benchmark result lines from go test output,
-// keeping the fastest run per (normalized) name.
+// keeping the fastest run per (normalized) name, and records the host:
+// this process's CPU count and Go version (parse runs on the machine
+// and toolchain that ran the benchmarks) and the GOMAXPROCS the name
+// suffixes carry. go test omits the suffix when GOMAXPROCS is 1.
 func parseBench(r io.Reader) (*Snapshot, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
 	best := map[string]Result{}
+	procs := -1 // none seen yet; 0 once two lines disagree
 	for _, line := range strings.Split(string(raw), "\n") {
 		f := strings.Fields(line)
 		if len(f) < 4 || !strings.HasPrefix(f[0], "Benchmark") || f[3] != "ns/op" {
@@ -109,6 +131,15 @@ func parseBench(r io.Reader) (*Snapshot, error) {
 		ns, err := strconv.ParseFloat(f[2], 64)
 		if err != nil {
 			continue
+		}
+		p := 1
+		if suffix := procSuffix.FindString(f[0]); suffix != "" {
+			p, _ = strconv.Atoi(suffix[1:])
+		}
+		if procs < 0 {
+			procs = p
+		} else if p != procs {
+			procs = 0
 		}
 		res := Result{
 			Name:       procSuffix.ReplaceAllString(f[0], ""),
@@ -135,7 +166,7 @@ func parseBench(r io.Reader) (*Snapshot, error) {
 	if len(best) == 0 {
 		return nil, fmt.Errorf("no benchmark result lines found in input")
 	}
-	snap := &Snapshot{}
+	snap := &Snapshot{Host: &Host{NProc: runtime.NumCPU(), GOMAXPROCS: procs, GoVersion: runtime.Version()}}
 	for _, r := range best {
 		snap.Benchmarks = append(snap.Benchmarks, r)
 	}
@@ -189,6 +220,13 @@ func loadSnapshot(path string) (*Snapshot, error) {
 	return &snap, nil
 }
 
+// Exit statuses of diff besides 0 (comparable, within every gate) and
+// 1 (unreadable input, or no benchmark in common).
+const (
+	exitGate         = 2
+	exitHostMismatch = 3
+)
+
 func cmdDiff(args []string) {
 	fs := flag.NewFlagSet("diff", flag.ExitOnError)
 	gate := fs.Float64("gate", 0, "fail (exit 2) if the geomean time ratio regresses by more than this percent")
@@ -197,13 +235,30 @@ func cmdDiff(args []string) {
 	if fs.NArg() != 2 {
 		usage()
 	}
-	oldSnap, err := loadSnapshot(fs.Arg(0))
-	if err != nil {
-		fatal(err)
+	os.Exit(runDiff(fs.Arg(0), fs.Arg(1), *gate, *gateAllocs, os.Stdout, os.Stderr))
+}
+
+// runDiff compares two snapshot files, writing the delta table to w and
+// warnings and errors to ew, and returns diff's exit status.
+func runDiff(oldPath, newPath string, gate, gateAllocs float64, w, ew io.Writer) int {
+	fail := func(err error, code int) int {
+		fmt.Fprintln(ew, "dsabenchdiff:", err)
+		return code
 	}
-	newSnap, err := loadSnapshot(fs.Arg(1))
+	oldSnap, err := loadSnapshot(oldPath)
 	if err != nil {
-		fatal(err)
+		return fail(err, 1)
+	}
+	newSnap, err := loadSnapshot(newPath)
+	if err != nil {
+		return fail(err, 1)
+	}
+	warning, err := checkHosts(oldSnap, newSnap, oldPath, newPath)
+	if err != nil {
+		return fail(err, exitHostMismatch)
+	}
+	if warning != "" {
+		fmt.Fprintln(ew, "dsabenchdiff: warning:", warning)
 	}
 	oldBy := map[string]Result{}
 	for _, r := range oldSnap.Benchmarks {
@@ -222,7 +277,6 @@ func cmdDiff(args []string) {
 	}
 	sort.Strings(names)
 
-	w := os.Stdout
 	fmt.Fprintf(w, "%-60s %14s %14s %9s %9s\n", "benchmark", "old ns/op", "new ns/op", "delta", "allocs")
 	logSum := 0.0
 	for _, n := range names {
@@ -239,16 +293,16 @@ func cmdDiff(args []string) {
 	}
 	for n := range oldBy {
 		if _, ok := newBy[n]; !ok {
-			fmt.Fprintf(w, "%-60s %14s (only in %s)\n", n, "-", fs.Arg(0))
+			fmt.Fprintf(w, "%-60s %14s (only in %s)\n", n, "-", oldPath)
 		}
 	}
 	for n := range newBy {
 		if _, ok := oldBy[n]; !ok {
-			fmt.Fprintf(w, "%-60s %14s (only in %s)\n", n, "-", fs.Arg(1))
+			fmt.Fprintf(w, "%-60s %14s (only in %s)\n", n, "-", newPath)
 		}
 	}
 	if len(names) == 0 {
-		fatal(fmt.Errorf("no benchmarks in common between %s and %s", fs.Arg(0), fs.Arg(1)))
+		return fail(fmt.Errorf("no benchmarks in common between %s and %s", oldPath, newPath), 1)
 	}
 	geomean := math.Exp(logSum / float64(len(names)))
 	fmt.Fprintf(w, "\ngeomean time ratio: %.4f (%+.1f%%) over %d benchmarks\n", geomean, (geomean-1)*100, len(names))
@@ -257,27 +311,64 @@ func cmdDiff(args []string) {
 		fmt.Fprintf(w, "geomean allocs ratio: %.4f (%+.1f%%) over %d benchmarks\n", allocsGeo, (allocsGeo-1)*100, allocsN)
 	}
 	failed := false
-	if *gate > 0 {
-		limit := 1 + *gate/100
+	if gate > 0 {
+		limit := 1 + gate/100
 		if geomean > limit {
-			fmt.Fprintf(w, "GATE FAIL: geomean %.4f exceeds regression limit %.4f (+%.0f%%)\n", geomean, limit, *gate)
+			fmt.Fprintf(w, "GATE FAIL: geomean %.4f exceeds regression limit %.4f (+%.0f%%)\n", geomean, limit, gate)
 			failed = true
 		} else {
-			fmt.Fprintf(w, "GATE OK: geomean %.4f within regression limit %.4f (+%.0f%%)\n", geomean, limit, *gate)
+			fmt.Fprintf(w, "GATE OK: geomean %.4f within regression limit %.4f (+%.0f%%)\n", geomean, limit, gate)
 		}
 	}
-	if *gateAllocs > 0 && allocsN > 0 {
-		limit := 1 + *gateAllocs/100
+	if gateAllocs > 0 && allocsN > 0 {
+		limit := 1 + gateAllocs/100
 		if allocsGeo > limit {
-			fmt.Fprintf(w, "GATE FAIL: allocs geomean %.4f exceeds regression limit %.4f (+%.0f%%)\n", allocsGeo, limit, *gateAllocs)
+			fmt.Fprintf(w, "GATE FAIL: allocs geomean %.4f exceeds regression limit %.4f (+%.0f%%)\n", allocsGeo, limit, gateAllocs)
 			failed = true
 		} else {
-			fmt.Fprintf(w, "GATE OK: allocs geomean %.4f within regression limit %.4f (+%.0f%%)\n", allocsGeo, limit, *gateAllocs)
+			fmt.Fprintf(w, "GATE OK: allocs geomean %.4f within regression limit %.4f (+%.0f%%)\n", allocsGeo, limit, gateAllocs)
 		}
 	}
 	if failed {
-		os.Exit(2)
+		return exitGate
 	}
+	return 0
+}
+
+// String renders the host as one report line.
+func (h *Host) String() string {
+	return fmt.Sprintf("nproc=%d GOMAXPROCS=%d %s", h.NProc, h.GOMAXPROCS, h.GoVersion)
+}
+
+// hostProcs returns the snapshot's GOMAXPROCS, or 0 and why it has none.
+func hostProcs(s *Snapshot) (int, string) {
+	switch {
+	case s.Host == nil:
+		return 0, "records no host"
+	case s.Host.GOMAXPROCS == 0:
+		return 0, "mixes GOMAXPROCS suffixes"
+	}
+	return s.Host.GOMAXPROCS, ""
+}
+
+// checkHosts decides whether two snapshots may be compared. Both
+// recording a GOMAXPROCS and disagreeing is an error; a snapshot that
+// records none yields a one-line warning instead.
+func checkHosts(oldSnap, newSnap *Snapshot, oldPath, newPath string) (warning string, err error) {
+	o, oldWhy := hostProcs(oldSnap)
+	n, newWhy := hostProcs(newSnap)
+	switch {
+	case o == 0 && n == 0:
+		return fmt.Sprintf("%s %s and %s %s; cannot check they ran at the same GOMAXPROCS", oldPath, oldWhy, newPath, newWhy), nil
+	case o == 0:
+		return fmt.Sprintf("%s %s; cannot check it ran at %s's GOMAXPROCS", oldPath, oldWhy, newPath), nil
+	case n == 0:
+		return fmt.Sprintf("%s %s; cannot check it ran at %s's GOMAXPROCS", newPath, newWhy, oldPath), nil
+	case o != n:
+		return "", fmt.Errorf("GOMAXPROCS differs: %s has %d (%v), %s has %d (%v); compare snapshots measured at the same parallelism",
+			oldPath, o, oldSnap.Host, newPath, n, newSnap.Host)
+	}
+	return "", nil
 }
 
 // allocsGeomean is the geometric mean of the new/old allocs-per-op

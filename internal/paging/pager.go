@@ -95,13 +95,16 @@ type Result struct {
 
 // Pager is a demand-paging storage allocator for one program.
 type Pager struct {
-	cfg      Config
-	table    *mapping.PageTable
-	st       *metrics.SpaceTime
-	resident map[uint64]bool
-	free     []int
-	maxPage  uint64
-	stats    Stats
+	cfg   Config
+	table *mapping.PageTable
+	st    *metrics.SpaceTime
+	// framePage holds the page in each frame, noPage for a free one, so
+	// scans of the resident set are bounded by the frames. The page
+	// table's Present bits answer per-page residency.
+	framePage []uint64
+	free      []int
+	maxPage   uint64
+	stats     Stats
 	// residentFn is p.isResident bound once, so handing it to the fetch
 	// strategy on every fault does not allocate a closure.
 	residentFn func(uint64) bool
@@ -144,15 +147,16 @@ func New(cfg Config) (*Pager, error) {
 	}
 	pages := int((cfg.Extent + cfg.PageSize - 1) / cfg.PageSize)
 	p := &Pager{
-		cfg:      cfg,
-		table:    mapping.NewPageTable(cfg.Clock, pages, cfg.PageSize, cfg.LookupCost),
-		st:       metrics.NewSpaceTime(cfg.Clock),
-		resident: make(map[uint64]bool),
-		maxPage:  uint64(pages - 1),
+		cfg:       cfg,
+		table:     mapping.NewPageTable(cfg.Clock, pages, cfg.PageSize, cfg.LookupCost),
+		st:        metrics.NewSpaceTime(cfg.Clock),
+		framePage: make([]uint64, cfg.Frames),
+		maxPage:   uint64(pages - 1),
 	}
 	p.residentFn = p.isResident
 	for f := cfg.Frames - 1; f >= 0; f-- {
 		p.free = append(p.free, f)
+		p.framePage[f] = noPage
 	}
 	return p, nil
 }
@@ -170,7 +174,7 @@ func (p *Pager) SpaceTime() *metrics.SpaceTime { return p.st }
 func (p *Pager) Stats() Stats { return p.stats }
 
 // ResidentPages reports how many pages are resident.
-func (p *Pager) ResidentPages() int { return len(p.resident) }
+func (p *Pager) ResidentPages() int { return p.cfg.Frames - len(p.free) }
 
 // frameAddr converts a frame number to a working-storage word address.
 func (p *Pager) frameAddr(frame int) int {
@@ -281,7 +285,7 @@ func (p *Pager) fault(page uint64, _ bool) error {
 // The page just demanded is never chosen — evicting it would undo the
 // fault that was just serviced.
 func (p *Pager) replenishReserve(justLoaded uint64) error {
-	for len(p.free) < p.cfg.ReserveFrames && len(p.resident) > 1 {
+	for len(p.free) < p.cfg.ReserveFrames && p.ResidentPages() > 1 {
 		victim, err := p.chooseVictimExcluding(justLoaded)
 		if err != nil {
 			if errors.Is(err, ErrAllPinned) {
@@ -299,12 +303,21 @@ func (p *Pager) replenishReserve(justLoaded uint64) error {
 	return nil
 }
 
-func (p *Pager) isResident(page uint64) bool { return p.resident[page] }
+// noPage marks a free frame in framePage.
+const noPage = ^uint64(0)
+
+func (p *Pager) isResident(page uint64) bool {
+	if page > p.maxPage {
+		return false
+	}
+	e, _ := p.table.Entry(page)
+	return e.Present
+}
 
 // loadPage makes page resident. Demand loads block (charge the clock);
 // anticipatory loads overlap when configured.
 func (p *Pager) loadPage(page uint64, demand bool) error {
-	if p.resident[page] {
+	if p.isResident(page) {
 		return nil
 	}
 	frame, err := p.takeFrame()
@@ -323,7 +336,7 @@ func (p *Pager) loadPage(page uint64, demand bool) error {
 	if err := p.table.SetEntry(page, frame); err != nil {
 		return err
 	}
-	p.resident[page] = true
+	p.framePage[frame] = page
 	p.cfg.Policy.Insert(replace.PageID(page), p.cfg.Clock.Now())
 	p.st.AddResident(int64(words))
 	p.stats.PageIns++
@@ -370,8 +383,8 @@ func (p *Pager) chooseVictimWith(exclude *uint64) (uint64, error) {
 	if a := p.cfg.Advice; a != nil {
 		var best uint64
 		found := false
-		for page := range p.resident {
-			if a.WontNeed(page) && !a.Keep(page) && !excluded(page) && (!found || page < best) {
+		for _, page := range p.framePage {
+			if page != noPage && a.WontNeed(page) && !a.Keep(page) && !excluded(page) && (!found || page < best) {
 				best = page
 				found = true
 			}
@@ -387,7 +400,7 @@ func (p *Pager) chooseVictimWith(exclude *uint64) (uint64, error) {
 			p.cfg.Policy.Insert(id, now)
 		}
 	}()
-	for i := 0; i <= len(p.resident); i++ {
+	for i := 0; i <= p.ResidentPages(); i++ {
 		v, err := p.cfg.Policy.Victim(p.cfg.Clock.Now())
 		if err != nil {
 			if errors.Is(err, replace.ErrEmpty) && len(p.skipped) > 0 {
@@ -433,7 +446,7 @@ func (p *Pager) evict(page uint64, overlapped bool) (int, error) {
 		}
 		p.stats.Writebacks++
 	}
-	delete(p.resident, page)
+	p.framePage[entry.Frame] = noPage
 	p.cfg.Policy.Remove(replace.PageID(page))
 	p.st.AddResident(-int64(words))
 	p.stats.PageOuts++
@@ -456,7 +469,7 @@ func (p *Pager) applyAdvice(r trace.Ref) error {
 		first := r.Name / p.cfg.PageSize
 		last := (r.Name + span - 1) / p.cfg.PageSize
 		for page := first; page <= last && page <= p.maxPage; page++ {
-			if p.resident[page] && !p.cfg.Advice.Keep(page) {
+			if p.isResident(page) && !p.cfg.Advice.Keep(page) {
 				frame, err := p.evict(page, true)
 				if err != nil {
 					return err

@@ -6,36 +6,33 @@ import "dsa/internal/sim"
 // effective on the Burroughs B5000: a hand sweeps the resident pages in
 // a fixed circular order; a page whose use bit is set gets a second
 // chance (the bit is cleared), and the first page found with a clear
-// bit is the victim.
+// bit is the victim. The use bits live in a slice parallel to the ring.
 type Clock struct {
 	ring []PageID
-	use  map[PageID]bool
-	pos  map[PageID]int
+	use  []bool
+	pos  slotIndex
 	hand int
 }
 
 // NewClock returns an empty Clock policy.
-func NewClock() *Clock {
-	return &Clock{use: make(map[PageID]bool), pos: make(map[PageID]int)}
-}
+func NewClock() *Clock { return &Clock{} }
 
 // Name implements Policy.
 func (*Clock) Name() string { return "clock" }
 
 // Insert implements Policy.
 func (c *Clock) Insert(id PageID, _ sim.Time) {
-	if _, ok := c.pos[id]; ok {
+	if !c.pos.add(id, len(c.ring)) {
 		return
 	}
-	c.pos[id] = len(c.ring)
 	c.ring = append(c.ring, id)
-	c.use[id] = true
+	c.use = append(c.use, true)
 }
 
 // Touch implements Policy.
 func (c *Clock) Touch(id PageID, _ sim.Time, _ bool) {
-	if _, ok := c.pos[id]; ok {
-		c.use[id] = true
+	if i, ok := c.pos.get(id); ok {
+		c.use[i] = true
 	}
 }
 
@@ -48,13 +45,12 @@ func (c *Clock) Victim(sim.Time) (PageID, error) {
 		if c.hand >= len(c.ring) {
 			c.hand = 0
 		}
-		id := c.ring[c.hand]
-		if c.use[id] {
-			c.use[id] = false
+		if c.use[c.hand] {
+			c.use[c.hand] = false
 			c.hand++
 			continue
 		}
-		return id, nil
+		return c.ring[c.hand], nil
 	}
 	// All bits were set repeatedly (cannot happen: first sweep clears).
 	return c.ring[0], nil
@@ -62,16 +58,18 @@ func (c *Clock) Victim(sim.Time) (PageID, error) {
 
 // Remove implements Policy.
 func (c *Clock) Remove(id PageID) {
-	i, ok := c.pos[id]
+	i, ok := c.pos.remove(id)
 	if !ok {
 		return
 	}
 	last := len(c.ring) - 1
-	c.ring[i] = c.ring[last]
-	c.pos[c.ring[i]] = i
+	if i != last {
+		c.ring[i] = c.ring[last]
+		c.use[i] = c.use[last]
+		c.pos.set(c.ring[i], i)
+	}
 	c.ring = c.ring[:last]
-	delete(c.pos, id)
-	delete(c.use, id)
+	c.use = c.use[:last]
 	if c.hand > last {
 		c.hand = 0
 	}
@@ -94,7 +92,7 @@ func (c *Clock) Len() int { return len(c.ring) }
 type M44Random struct {
 	rng        *sim.RNG
 	ids        []PageID
-	index      map[PageID]int
+	index      slotIndex
 	used       []bool
 	dirty      []bool
 	candidates []int // scratch for Victim, indices into ids
@@ -102,10 +100,7 @@ type M44Random struct {
 
 // NewM44Random returns an M44Random policy drawing from rng.
 func NewM44Random(rng *sim.RNG) *M44Random {
-	return &M44Random{
-		rng:   rng,
-		index: make(map[PageID]int),
-	}
+	return &M44Random{rng: rng}
 }
 
 // Name implements Policy.
@@ -113,10 +108,9 @@ func (*M44Random) Name() string { return "m44-random" }
 
 // Insert implements Policy.
 func (m *M44Random) Insert(id PageID, _ sim.Time) {
-	if _, ok := m.index[id]; ok {
+	if !m.index.add(id, len(m.ids)) {
 		return
 	}
-	m.index[id] = len(m.ids)
 	m.ids = append(m.ids, id)
 	m.used = append(m.used, true)
 	m.dirty = append(m.dirty, false)
@@ -124,7 +118,7 @@ func (m *M44Random) Insert(id PageID, _ sim.Time) {
 
 // Touch implements Policy.
 func (m *M44Random) Touch(id PageID, _ sim.Time, write bool) {
-	i, ok := m.index[id]
+	i, ok := m.index.get(id)
 	if !ok {
 		return
 	}
@@ -173,19 +167,20 @@ func (m *M44Random) Victim(sim.Time) (PageID, error) {
 
 // Remove implements Policy.
 func (m *M44Random) Remove(id PageID) {
-	i, ok := m.index[id]
+	i, ok := m.index.remove(id)
 	if !ok {
 		return
 	}
 	last := len(m.ids) - 1
-	m.ids[i] = m.ids[last]
-	m.used[i] = m.used[last]
-	m.dirty[i] = m.dirty[last]
-	m.index[m.ids[i]] = i
+	if i != last {
+		m.ids[i] = m.ids[last]
+		m.used[i] = m.used[last]
+		m.dirty[i] = m.dirty[last]
+		m.index.set(m.ids[i], i)
+	}
 	m.ids = m.ids[:last]
 	m.used = m.used[:last]
 	m.dirty = m.dirty[:last]
-	delete(m.index, id)
 }
 
 // Len implements Policy.

@@ -37,7 +37,7 @@ type learnEntry struct {
 // map-iteration original exactly.
 type Learning struct {
 	entries []learnEntry
-	index   map[PageID]int
+	index   slotIndex
 	n       uint64
 	// Slack is the multiple of T beyond which a page is deemed out of
 	// use; ATLAS used a small constant margin. 1 means t > T.
@@ -46,10 +46,7 @@ type Learning struct {
 
 // NewLearning returns an ATLAS learning policy.
 func NewLearning() *Learning {
-	return &Learning{
-		index: make(map[PageID]int),
-		Slack: 1,
-	}
+	return &Learning{Slack: 1}
 }
 
 // Name implements Policy.
@@ -57,11 +54,10 @@ func (*Learning) Name() string { return "atlas-learning" }
 
 // Insert implements Policy.
 func (l *Learning) Insert(id PageID, now sim.Time) {
-	if _, ok := l.index[id]; ok {
+	if !l.index.add(id, len(l.entries)) {
 		return
 	}
 	l.n++
-	l.index[id] = len(l.entries)
 	l.entries = append(l.entries, learnEntry{
 		id:       id,
 		lastUse:  now,
@@ -72,7 +68,7 @@ func (l *Learning) Insert(id PageID, now sim.Time) {
 
 // Touch implements Policy.
 func (l *Learning) Touch(id PageID, now sim.Time, _ bool) {
-	i, ok := l.index[id]
+	i, ok := l.index.get(id)
 	if !ok {
 		return
 	}
@@ -129,15 +125,16 @@ func (l *Learning) Victim(now sim.Time) (PageID, error) {
 
 // Remove implements Policy.
 func (l *Learning) Remove(id PageID) {
-	i, ok := l.index[id]
+	i, ok := l.index.remove(id)
 	if !ok {
 		return
 	}
 	last := len(l.entries) - 1
-	l.entries[i] = l.entries[last]
-	l.index[l.entries[i].id] = i
+	if i != last {
+		l.entries[i] = l.entries[last]
+		l.index.set(l.entries[i].id, i)
+	}
 	l.entries = l.entries[:last]
-	delete(l.index, id)
 }
 
 // Len implements Policy.

@@ -16,31 +16,33 @@ type MIN struct {
 	// precomputed array replaces the per-page position queues, whose
 	// construction dominated NewMIN's allocations.
 	next []int
-	// nextUse maps each resident page to the position of its next
-	// reference after the reference that last consumed it.
-	nextUse  map[PageID]int
-	cursor   int
-	resident map[PageID]bool
+	// cursor is the position of the next reference to consume.
+	cursor int
+	// ids are the resident pages and nextUse, parallel to it, the
+	// position of each one's next reference after the reference that
+	// last consumed it; index finds a page's slot.
+	ids     []PageID
+	nextUse []int
+	index   slotIndex
 }
 
 // NewMIN builds the policy for a known future page-reference string.
 // The caller must Touch pages in exactly the order of refs.
 func NewMIN(refs []PageID) *MIN {
 	m := &MIN{
-		future:   refs,
-		next:     make([]int, len(refs)),
-		nextUse:  make(map[PageID]int),
-		resident: make(map[PageID]bool),
+		future: refs,
+		next:   make([]int, len(refs)),
 	}
-	last := make(map[PageID]int)
+	var last slotIndex // page -> its earliest position seen so far
 	for i := len(refs) - 1; i >= 0; i-- {
 		p := refs[i]
-		if j, ok := last[p]; ok {
+		if j, ok := last.get(p); ok {
 			m.next[i] = j
+			last.set(p, i)
 		} else {
 			m.next[i] = len(refs) + 1 // never used again
+			last.add(p, i)
 		}
-		last[p] = i
 	}
 	return m
 }
@@ -48,13 +50,16 @@ func NewMIN(refs []PageID) *MIN {
 // Name implements Policy.
 func (*MIN) Name() string { return "belady-min" }
 
-// consume advances the cursor past the current reference and records
-// the consumed page's next use.
+// consume advances the cursor past the current reference and, if the
+// page is resident, records its next use. A page's next use is read
+// only while it is resident, and Insert always consumes.
 func (m *MIN) consume(id PageID) {
+	next := len(m.future) + 1
 	if m.cursor < len(m.next) {
-		m.nextUse[id] = m.next[m.cursor]
-	} else {
-		m.nextUse[id] = len(m.future) + 1
+		next = m.next[m.cursor]
+	}
+	if i, ok := m.index.get(id); ok {
+		m.nextUse[i] = next
 	}
 	m.cursor++
 }
@@ -62,7 +67,10 @@ func (m *MIN) consume(id PageID) {
 // Insert implements Policy. The insertion reference consumes one
 // position of the future string.
 func (m *MIN) Insert(id PageID, _ sim.Time) {
-	m.resident[id] = true
+	if m.index.add(id, len(m.ids)) {
+		m.ids = append(m.ids, id)
+		m.nextUse = append(m.nextUse, 0)
+	}
 	m.consume(id)
 }
 
@@ -71,27 +79,37 @@ func (m *MIN) Insert(id PageID, _ sim.Time) {
 func (m *MIN) Touch(id PageID, _ sim.Time, _ bool) { m.consume(id) }
 
 // Victim implements Policy: the resident page with the farthest (or no)
-// next use.
+// next use, the lowest id among equals.
 func (m *MIN) Victim(sim.Time) (PageID, error) {
-	if len(m.resident) == 0 {
+	if len(m.ids) == 0 {
 		return 0, ErrEmpty
 	}
-	var victim PageID
-	bestNext := -1
-	first := true
-	for id := range m.resident {
-		next := m.nextUse[id]
-		if first || next > bestNext || (next == bestNext && id < victim) {
+	victim, bestNext := m.ids[0], m.nextUse[0]
+	for i, id := range m.ids[1:] {
+		next := m.nextUse[i+1]
+		if next > bestNext || (next == bestNext && id < victim) {
 			victim = id
 			bestNext = next
-			first = false
 		}
 	}
 	return victim, nil
 }
 
 // Remove implements Policy.
-func (m *MIN) Remove(id PageID) { delete(m.resident, id) }
+func (m *MIN) Remove(id PageID) {
+	i, ok := m.index.remove(id)
+	if !ok {
+		return
+	}
+	last := len(m.ids) - 1
+	if i != last {
+		m.ids[i] = m.ids[last]
+		m.nextUse[i] = m.nextUse[last]
+		m.index.set(m.ids[i], i)
+	}
+	m.ids = m.ids[:last]
+	m.nextUse = m.nextUse[:last]
+}
 
 // Len implements Policy.
-func (m *MIN) Len() int { return len(m.resident) }
+func (m *MIN) Len() int { return len(m.ids) }

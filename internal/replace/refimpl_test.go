@@ -8,10 +8,12 @@ import (
 )
 
 // This file pins the rewritten policies (intrusive-list LRU,
-// slice-backed Learning, buffer-reusing M44Random) to the original
-// map-scan implementations: trimmed copies of the seed code are driven
-// in lockstep through random workloads and must produce identical
-// victim sequences throughout.
+// slice-backed Learning, buffer-reusing M44Random, and the slot-indexed
+// FIFO, Random, Clock and MIN) to the original map-based
+// implementations: trimmed copies of that code are driven in lockstep
+// through random workloads (here, and through fuzzed ones in
+// FuzzPolicyLockstep) and must produce identical victim sequences
+// throughout.
 
 // refLRU is the seed LRU: timestamp map plus sequence tiebreak, victim
 // by full scan for the minimum (last, seq).
@@ -231,6 +233,199 @@ func (m *refM44) Remove(id PageID) {
 	delete(m.used, id)
 	delete(m.dirty, id)
 }
+
+// refClock is the map-based Clock: use bits and ring positions in maps.
+type refClock struct {
+	ring []PageID
+	use  map[PageID]bool
+	pos  map[PageID]int
+	hand int
+}
+
+func newRefClock() *refClock {
+	return &refClock{use: make(map[PageID]bool), pos: make(map[PageID]int)}
+}
+
+func (c *refClock) Insert(id PageID) {
+	if _, ok := c.pos[id]; ok {
+		return
+	}
+	c.pos[id] = len(c.ring)
+	c.ring = append(c.ring, id)
+	c.use[id] = true
+}
+
+func (c *refClock) Touch(id PageID) {
+	if _, ok := c.pos[id]; ok {
+		c.use[id] = true
+	}
+}
+
+func (c *refClock) Victim() (PageID, bool) {
+	if len(c.ring) == 0 {
+		return 0, false
+	}
+	for sweeps := 0; sweeps < 2*len(c.ring)+1; sweeps++ {
+		if c.hand >= len(c.ring) {
+			c.hand = 0
+		}
+		id := c.ring[c.hand]
+		if c.use[id] {
+			c.use[id] = false
+			c.hand++
+			continue
+		}
+		return id, true
+	}
+	return c.ring[0], true
+}
+
+func (c *refClock) Remove(id PageID) {
+	i, ok := c.pos[id]
+	if !ok {
+		return
+	}
+	last := len(c.ring) - 1
+	c.ring[i] = c.ring[last]
+	c.pos[c.ring[i]] = i
+	c.ring = c.ring[:last]
+	delete(c.pos, id)
+	delete(c.use, id)
+	if c.hand > last {
+		c.hand = 0
+	}
+}
+
+// refFIFO is FIFO over a plain queue and a residency map.
+type refFIFO struct {
+	queue []PageID
+	pos   map[PageID]bool
+}
+
+func newRefFIFO() *refFIFO { return &refFIFO{pos: make(map[PageID]bool)} }
+
+func (f *refFIFO) Insert(id PageID) {
+	if !f.pos[id] {
+		f.pos[id] = true
+		f.queue = append(f.queue, id)
+	}
+}
+
+func (f *refFIFO) Victim() (PageID, bool) {
+	if len(f.queue) == 0 {
+		return 0, false
+	}
+	return f.queue[0], true
+}
+
+func (f *refFIFO) Remove(id PageID) {
+	if !f.pos[id] {
+		return
+	}
+	delete(f.pos, id)
+	for i, q := range f.queue {
+		if q == id {
+			f.queue = append(f.queue[:i], f.queue[i+1:]...)
+			break
+		}
+	}
+}
+
+// refRandom is the map-indexed Random.
+type refRandom struct {
+	rng   *sim.RNG
+	ids   []PageID
+	index map[PageID]int
+}
+
+func newRefRandom(rng *sim.RNG) *refRandom {
+	return &refRandom{rng: rng, index: make(map[PageID]int)}
+}
+
+func (r *refRandom) Insert(id PageID) {
+	if _, ok := r.index[id]; ok {
+		return
+	}
+	r.index[id] = len(r.ids)
+	r.ids = append(r.ids, id)
+}
+
+func (r *refRandom) Victim() (PageID, bool) {
+	if len(r.ids) == 0 {
+		return 0, false
+	}
+	return r.ids[r.rng.Intn(len(r.ids))], true
+}
+
+func (r *refRandom) Remove(id PageID) {
+	i, ok := r.index[id]
+	if !ok {
+		return
+	}
+	last := len(r.ids) - 1
+	r.ids[i] = r.ids[last]
+	r.index[r.ids[i]] = i
+	r.ids = r.ids[:last]
+	delete(r.index, id)
+}
+
+// refMIN is the map-based MIN: next uses and residency in maps, victim
+// by a scan with the lowest id winning ties.
+type refMIN struct {
+	next     []int
+	nextUse  map[PageID]int
+	cursor   int
+	resident map[PageID]bool
+}
+
+func newRefMIN(refs []PageID) *refMIN {
+	m := &refMIN{
+		next:     make([]int, len(refs)),
+		nextUse:  make(map[PageID]int),
+		resident: make(map[PageID]bool),
+	}
+	last := make(map[PageID]int)
+	for i := len(refs) - 1; i >= 0; i-- {
+		if j, ok := last[refs[i]]; ok {
+			m.next[i] = j
+		} else {
+			m.next[i] = len(refs) + 1
+		}
+		last[refs[i]] = i
+	}
+	return m
+}
+
+func (m *refMIN) consume(id PageID) {
+	if m.cursor < len(m.next) {
+		m.nextUse[id] = m.next[m.cursor]
+	} else {
+		m.nextUse[id] = len(m.next) + 1
+	}
+	m.cursor++
+}
+
+func (m *refMIN) Insert(id PageID) {
+	m.resident[id] = true
+	m.consume(id)
+}
+
+func (m *refMIN) Victim() (PageID, bool) {
+	if len(m.resident) == 0 {
+		return 0, false
+	}
+	var victim PageID
+	bestNext := -1
+	for id := range m.resident {
+		next := m.nextUse[id]
+		if bestNext < 0 || next > bestNext || (next == bestNext && id < victim) {
+			victim, bestNext = id, next
+		}
+	}
+	return victim, true
+}
+
+func (m *refMIN) Remove(id PageID) { delete(m.resident, id) }
 
 // driveLockstep runs a random insert/touch/victim/remove workload
 // against a policy and a shadow, failing on any divergence. The clock

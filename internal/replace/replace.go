@@ -18,6 +18,11 @@
 //
 // A Policy tracks only residency metadata; the paging engine owns the
 // frames. All policies are deterministic given their RNG seed.
+//
+// Every policy keeps its per-page records in dense slices and finds a
+// page's record through one shared open-addressing index (slotIndex,
+// PageID → slot) instead of a Go map, so the Touch, Insert and Remove
+// of each reference cost a multiply and a short probe, not a map hash.
 package replace
 
 import (
@@ -65,23 +70,22 @@ type Policy interface {
 // in place when growth would otherwise allocate keeps steady-state
 // insert/evict traffic on one backing array.
 type FIFO struct {
-	queue []PageID
-	head  int
-	pos   map[PageID]bool
+	queue    []PageID
+	head     int
+	resident slotIndex // the set of queued pages; slots unused
 }
 
 // NewFIFO returns an empty FIFO policy.
-func NewFIFO() *FIFO { return &FIFO{pos: make(map[PageID]bool)} }
+func NewFIFO() *FIFO { return &FIFO{} }
 
 // Name implements Policy.
 func (*FIFO) Name() string { return "fifo" }
 
 // Insert implements Policy.
 func (f *FIFO) Insert(id PageID, _ sim.Time) {
-	if f.pos[id] {
+	if !f.resident.add(id, 0) {
 		return
 	}
-	f.pos[id] = true
 	if len(f.queue) == cap(f.queue) && f.head > 0 {
 		n := copy(f.queue, f.queue[f.head:])
 		f.queue = f.queue[:n]
@@ -97,7 +101,7 @@ func (f *FIFO) Touch(PageID, sim.Time, bool) {}
 func (f *FIFO) Victim(sim.Time) (PageID, error) {
 	for f.head < len(f.queue) {
 		id := f.queue[f.head]
-		if f.pos[id] {
+		if _, ok := f.resident.get(id); ok {
 			return id, nil
 		}
 		f.head++ // lazily drop removed entries
@@ -107,10 +111,9 @@ func (f *FIFO) Victim(sim.Time) (PageID, error) {
 
 // Remove implements Policy.
 func (f *FIFO) Remove(id PageID) {
-	if !f.pos[id] {
+	if _, ok := f.resident.remove(id); !ok {
 		return
 	}
-	delete(f.pos, id)
 	if f.head < len(f.queue) && f.queue[f.head] == id {
 		f.head++
 		return
@@ -124,13 +127,17 @@ func (f *FIFO) Remove(id PageID) {
 }
 
 // Len implements Policy.
-func (f *FIFO) Len() int { return len(f.pos) }
+func (f *FIFO) Len() int { return f.resident.len() }
 
-// lruEntry is one resident page on the LRU recency list.
+// lruEntry is one resident page on the LRU recency list. The entries
+// live in one slice and link to each other by slot.
 type lruEntry struct {
 	id         PageID
-	prev, next *lruEntry
+	prev, next int32
 }
+
+// none is the null link of the LRU recency and free lists.
+const none = -1
 
 // LRU evicts the least recently used page. The resident pages live on
 // an intrusive recency list (head = most recent), so victim selection
@@ -140,114 +147,117 @@ type lruEntry struct {
 // order is exactly the (timestamp, sequence) order the scan minimized:
 // the victims are identical.
 type LRU struct {
-	entries    map[PageID]*lruEntry
-	head, tail *lruEntry
-	free       *lruEntry // recycled entries, chained through next
+	entries    []lruEntry
+	index      slotIndex
+	head, tail int32
+	free       int32 // recycled entries, chained through next
 }
 
 // NewLRU returns an empty LRU policy.
 func NewLRU() *LRU {
-	return &LRU{entries: make(map[PageID]*lruEntry)}
+	return &LRU{head: none, tail: none, free: none}
 }
 
 // Name implements Policy.
 func (*LRU) Name() string { return "lru" }
 
 // pushFront links a detached entry at the head of the recency list.
-func (l *LRU) pushFront(e *lruEntry) {
-	e.prev = nil
+func (l *LRU) pushFront(i int32) {
+	e := &l.entries[i]
+	e.prev = none
 	e.next = l.head
-	if l.head != nil {
-		l.head.prev = e
+	if l.head != none {
+		l.entries[l.head].prev = i
 	} else {
-		l.tail = e
+		l.tail = i
 	}
-	l.head = e
+	l.head = i
 }
 
-// moveToFront makes e the most recently used entry.
-func (l *LRU) moveToFront(e *lruEntry) {
-	if l.head == e {
-		return
+// unlink detaches an entry from the recency list.
+func (l *LRU) unlink(i int32) {
+	e := &l.entries[i]
+	if e.prev != none {
+		l.entries[e.prev].next = e.next
+	} else {
+		l.head = e.next
 	}
-	e.prev.next = e.next
-	if e.next != nil {
-		e.next.prev = e.prev
+	if e.next != none {
+		l.entries[e.next].prev = e.prev
 	} else {
 		l.tail = e.prev
 	}
-	l.pushFront(e)
+}
+
+// moveToFront makes entry i the most recently used.
+func (l *LRU) moveToFront(i int32) {
+	if l.head == i {
+		return
+	}
+	l.unlink(i)
+	l.pushFront(i)
 }
 
 // Insert implements Policy. Re-inserting a resident page refreshes its
 // recency, matching the timestamp overwrite of the original
 // implementation.
 func (l *LRU) Insert(id PageID, _ sim.Time) {
-	if e, ok := l.entries[id]; ok {
-		l.moveToFront(e)
+	if i, ok := l.index.get(id); ok {
+		l.moveToFront(int32(i))
 		return
 	}
-	e := l.free
-	if e == nil {
-		e = &lruEntry{}
+	i := l.free
+	if i == none {
+		i = int32(len(l.entries))
+		l.entries = append(l.entries, lruEntry{})
 	} else {
-		l.free = e.next
-		*e = lruEntry{}
+		l.free = l.entries[i].next
 	}
-	e.id = id
-	l.pushFront(e)
-	l.entries[id] = e
+	l.entries[i].id = id
+	l.pushFront(i)
+	l.index.add(id, int(i))
 }
 
 // Touch implements Policy.
 func (l *LRU) Touch(id PageID, _ sim.Time, _ bool) {
-	if e, ok := l.entries[id]; ok {
-		l.moveToFront(e)
+	if i, ok := l.index.get(id); ok {
+		l.moveToFront(int32(i))
 	}
 }
 
 // Victim implements Policy.
 func (l *LRU) Victim(sim.Time) (PageID, error) {
-	if l.tail == nil {
+	if l.tail == none {
 		return 0, ErrEmpty
 	}
-	return l.tail.id, nil
+	return l.entries[l.tail].id, nil
 }
 
 // Remove implements Policy.
 func (l *LRU) Remove(id PageID) {
-	e, ok := l.entries[id]
+	slot, ok := l.index.remove(id)
 	if !ok {
 		return
 	}
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		l.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		l.tail = e.prev
-	}
-	delete(l.entries, id)
-	*e = lruEntry{next: l.free}
-	l.free = e
+	i := int32(slot)
+	l.unlink(i)
+	l.entries[i] = lruEntry{next: l.free}
+	l.free = i
 }
 
 // Len implements Policy.
-func (l *LRU) Len() int { return len(l.entries) }
+func (l *LRU) Len() int { return l.index.len() }
 
 // Random evicts a uniformly random resident page.
 type Random struct {
 	rng   *sim.RNG
 	ids   []PageID
-	index map[PageID]int
+	index slotIndex
 }
 
 // NewRandom returns a Random policy drawing from rng.
 func NewRandom(rng *sim.RNG) *Random {
-	return &Random{rng: rng, index: make(map[PageID]int)}
+	return &Random{rng: rng}
 }
 
 // Name implements Policy.
@@ -255,10 +265,9 @@ func (*Random) Name() string { return "random" }
 
 // Insert implements Policy.
 func (r *Random) Insert(id PageID, _ sim.Time) {
-	if _, ok := r.index[id]; ok {
+	if !r.index.add(id, len(r.ids)) {
 		return
 	}
-	r.index[id] = len(r.ids)
 	r.ids = append(r.ids, id)
 }
 
@@ -275,15 +284,16 @@ func (r *Random) Victim(sim.Time) (PageID, error) {
 
 // Remove implements Policy.
 func (r *Random) Remove(id PageID) {
-	i, ok := r.index[id]
+	i, ok := r.index.remove(id)
 	if !ok {
 		return
 	}
 	last := len(r.ids) - 1
-	r.ids[i] = r.ids[last]
-	r.index[r.ids[i]] = i
+	if i != last {
+		r.ids[i] = r.ids[last]
+		r.index.set(r.ids[i], i)
+	}
 	r.ids = r.ids[:last]
-	delete(r.index, id)
 }
 
 // Len implements Policy.

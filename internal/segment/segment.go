@@ -92,9 +92,13 @@ type Stats struct {
 
 // Manager is a segment-level dynamic storage allocator.
 type Manager struct {
-	cfg   Config
-	dict  *addr.SymbolicDictionary
-	descs map[addr.SegID]*Descriptor
+	cfg  Config
+	dict *addr.SymbolicDictionary
+	// descs is indexed by SegID, which the dictionary hands out
+	// sequentially and never reuses; a destroyed segment leaves nil.
+	// live counts the non-nil entries.
+	descs []*Descriptor
+	live  int
 	heap  *alloc.Heap
 	st    *metrics.SpaceTime
 
@@ -117,11 +121,10 @@ func NewManager(cfg Config) (*Manager, error) {
 		return nil, errors.New("segment: nil replacement policy")
 	}
 	return &Manager{
-		cfg:   cfg,
-		dict:  addr.NewSymbolicDictionary(),
-		descs: make(map[addr.SegID]*Descriptor),
-		heap:  alloc.New(cfg.Working.Capacity(), cfg.Placement, cfg.CoalesceMode),
-		st:    metrics.NewSpaceTime(cfg.Clock),
+		cfg:  cfg,
+		dict: addr.NewSymbolicDictionary(),
+		heap: alloc.New(cfg.Working.Capacity(), cfg.Placement, cfg.CoalesceMode),
+		st:   metrics.NewSpaceTime(cfg.Clock),
 	}, nil
 }
 
@@ -157,7 +160,11 @@ func (m *Manager) Create(symbol string, extent addr.Name) (addr.SegID, error) {
 		return 0, fmt.Errorf("segment: backing storage exhausted creating %q", symbol)
 	}
 	id := m.dict.Declare(symbol)
+	for int(id) >= len(m.descs) {
+		m.descs = append(m.descs, nil)
+	}
 	m.descs[id] = &Descriptor{Extent: extent, BackingBase: m.backingNext}
+	m.live++
 	m.backingNext += int(extent)
 	m.stats.Creates++
 	return id, nil
@@ -177,7 +184,8 @@ func (m *Manager) Destroy(symbol string) error {
 		m.cfg.Replacement.Remove(replace.PageID(id))
 		m.st.AddResident(-int64(d.Extent))
 	}
-	delete(m.descs, id)
+	m.descs[id] = nil
+	m.live--
 	if err := m.dict.Remove(symbol); err != nil {
 		return err
 	}
@@ -333,7 +341,7 @@ func (m *Manager) evictOne(incoming string) error {
 			m.cfg.Replacement.Insert(s, now)
 		}
 	}()
-	for i := 0; i <= len(m.descs); i++ {
+	for i := 0; i <= m.live; i++ {
 		v, err := m.cfg.Replacement.Victim(m.cfg.Clock.Now())
 		if err != nil {
 			if errors.Is(err, replace.ErrEmpty) {
@@ -365,8 +373,11 @@ func (m *Manager) evictOne(incoming string) error {
 
 // evict pages out one segment, writing it back if modified.
 func (m *Manager) evict(id addr.SegID) error {
-	d, ok := m.descs[id]
-	if !ok || !d.Present {
+	var d *Descriptor
+	if int(id) < len(m.descs) {
+		d = m.descs[id]
+	}
+	if d == nil || !d.Present {
 		return fmt.Errorf("segment: evicting non-resident segment %d", id)
 	}
 	if d.Modified {
@@ -390,10 +401,10 @@ func (m *Manager) evict(id addr.SegID) error {
 // descriptors — possible only because all access is via descriptors,
 // the paper's point about avoiding stored absolute addresses.
 func (m *Manager) compact() error {
-	oldBase := make(map[int]addr.SegID, len(m.descs))
+	oldBase := make(map[int]addr.SegID, m.live)
 	for id, d := range m.descs {
-		if d.Present {
-			oldBase[int(d.Base)] = id
+		if d != nil && d.Present {
+			oldBase[int(d.Base)] = addr.SegID(id)
 		}
 	}
 	moves := m.heap.Compact()

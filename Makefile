@@ -234,7 +234,10 @@ scenario-smoke:
 # must be byte-identical to the serial runs with every cell remote —
 # the stderr summary proves no silent local fallback — and the
 # fault-injection suite (worker kill mid-batch, stalled link, corrupt
-# frame, budget exhaustion) must hold under -race. CI's tcp-smoke job
+# frame, budget exhaustion) must hold under -race, together with the
+# local-link tests (a stopped child retired at LinkTimeout, stdout
+# kept out of the frame stream, a crash seen as prompt EOF with four
+# children spawned at once). CI's tcp-smoke job
 # runs this with TCP_SMOKE_DIR set so the outputs can be uploaded as a
 # debugging artifact on failure.
 TCP_SMOKE_DIR ?=
@@ -272,7 +275,7 @@ tcp-smoke:
 		> "$$tmp/fig-tcp-bp.out" 2> "$$tmp/fig-tcp-bp.err"; \
 	cmp "$$tmp/fig-serial.out" "$$tmp/fig-tcp-bp.out"; \
 	grep -q "16 cells in 2 workers, 0 in-process, 0 crashes" "$$tmp/fig-tcp-bp.err"; \
-	$(GO) test -race -count=1 -run 'TCP|Fault|Frame|RemoteLocal' ./internal/engine/dist; \
+	$(GO) test -race -count=1 -run 'TCP|Fault|Frame|RemoteLocal|TestLocal' ./internal/engine/dist; \
 	echo "tcp-smoke: remote TCP output byte-identical; fault-injection suite green under -race"
 
 # Sweep-service determinism check: a `dsasim serve` daemon's streamed

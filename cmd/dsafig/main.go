@@ -58,10 +58,12 @@
 // compile it on first use.
 //
 // The hidden `dsafig worker` subcommand is the child side of -workers,
-// started only by a dispatching dsafig. `dsafig serve-worker` is its
-// TCP counterpart for -remote: it listens on -listen (port 0 picks a
-// free port, announced on stderr and via -addr-file), requires
-// -auth-token when set, and warms its own -cache-dir.
+// started only by a dispatching dsafig: it serves cell batches on the
+// pipe pair it inherits with the serve-worker protocol (handshake,
+// heartbeats). `dsafig serve-worker` is its TCP counterpart for
+// -remote: it listens on -listen (port 0 picks a free port, announced
+// on stderr and via -addr-file), requires -auth-token when set, and
+// warms its own -cache-dir.
 package main
 
 import (
@@ -79,7 +81,7 @@ func main() {
 	if len(os.Args) > 1 && os.Args[1] == "worker" {
 		// The experiments package registered its cell handlers at init
 		// (compiled-in sweeps and scenario cells both); serve cell
-		// batches until the dispatcher closes stdin. With -cache-dir the
+		// batches until the dispatcher disconnects. With -cache-dir the
 		// worker's per-process catalog is backed by the shared cache
 		// directory, so workloads replay across processes.
 		if err := cliflags.RunWorker("dsafig", os.Args[2:]); err != nil {

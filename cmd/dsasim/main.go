@@ -60,8 +60,10 @@
 // service", and cmd/dsabench for the load harness.
 //
 // The hidden `dsasim worker` subcommand is the child side of -workers:
-// it serves cell batches over the stdio protocol of
-// internal/engine/dist and is started only by a dispatching dsasim.
+// started only by a dispatching dsasim, it serves cell batches on the
+// pipe pair it inherits, speaking the same internal/engine/dist
+// protocol as a serve-worker (handshake, heartbeats); its stdout and
+// stderr reach the dispatcher's stderr prefixed with its slot.
 // `dsasim serve-worker` is its TCP counterpart for -remote: it listens
 // on -listen (port 0 picks a free port, announced on stderr and via
 // -addr-file), requires -auth-token when set, and warms its own

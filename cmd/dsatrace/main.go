@@ -252,7 +252,9 @@ func registerWorkerTasks() {
 	})
 }
 
-// cmdWorker is the hidden child side of `dsatrace batch -workers`.
+// cmdWorker is the hidden child side of `dsatrace batch -workers`: it
+// serves the batch cells on the pipe pair a dispatching dsatrace
+// passes it, with the same protocol cmdServeWorker speaks over TCP.
 func cmdWorker(args []string) {
 	registerWorkerTasks()
 	if err := cliflags.RunWorker("dsatrace", args); err != nil {

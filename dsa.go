@@ -79,14 +79,26 @@
 //     the budget.
 //   - -workers N shards cells across N child worker processes
 //     (internal/engine/dist): the dispatcher spawns `dsasim worker` /
-//     `dsafig worker` / `dsatrace worker` children and ships cells
-//     over a length-prefixed gob stdio protocol as {task, cell key,
-//     base seed} plus parameters. 0 (the default) stays in-process.
-//     -batch B packs B cells into each protocol frame, amortizing the
-//     gob+pipe round trip; on small-cell sweeps batching is worth
-//     several× (see BenchmarkDistRoundTrips). A crash costs at most
-//     one in-flight batch, so keep B modest (4–16) — large B trades
-//     containment granularity for round-trip savings, never bytes.
+//     `dsafig worker` / `dsatrace worker` children and ships cells as
+//     {task, cell key, base seed} plus parameters over a pipe pair
+//     each child inherits as fds 3 and 4, speaking exactly the
+//     protocol a remote serve-worker speaks (see "Remote workers"):
+//     handshake, checksummed gob frames, heartbeats. The child's
+//     stdout and stderr are free for output. 0 (the default) stays
+//     in-process. -batch B packs B cells into each protocol frame,
+//     amortizing the round trip; on small-cell sweeps batching is
+//     worth several× (see BenchmarkDistRoundTrips). A crash costs at
+//     most one in-flight batch, so keep B modest (4–16) — large B
+//     trades containment granularity for round-trip savings, never
+//     bytes.
+//
+// Distribution pays only for cells that cost well above its
+// overhead. BenchmarkDistRoundTrips (64 near-free cells over 2
+// workers, 2-core VM) spends about 45 µs of worker-slot time per cell
+// at -batch 1 and about 15 µs at -batch 8. So a cell must cost about
+// 1 ms for the overhead to stay under 5% at -batch 1, or 0.3 ms at
+// -batch 8. Cheaper cells run faster under -parallel, and more worker
+// cores than local ones (-remote) are the only reason to ship them.
 //
 // The determinism guarantee is identical on both axes, and is CI-
 // enforced: every cell's RNG derives from (base seed, cell key) via
@@ -101,13 +113,15 @@
 // checks locally).
 //
 // Fault containment extends across the process boundary: a worker that
-// crashes or is killed mid-batch costs exactly its in-flight cells —
-// they surface as FAILED rows, attributably (child stderr is prefixed
-// with the worker slot and cell key, and a partial line in flight at
-// the crash is flushed with its prefix rather than lost) — while the
-// dispatcher respawns the slot within a bounded budget and the sweep
-// completes. A slot that cannot be respawned degrades to running its
-// cells in-process, so output is still complete and byte-identical.
+// crashes, is killed, or stops answering mid-batch costs exactly its
+// in-flight cells — they surface as FAILED rows, attributably (child
+// output is prefixed with the worker slot and cell key, a partial line
+// in flight at the crash is flushed with its prefix rather than lost,
+// and the dispatcher prints one "link retired" line naming the batch)
+// — while the dispatcher respawns the slot within a bounded budget and
+// the sweep completes. A slot that cannot be respawned degrades to
+// running its cells in-process, so output is still complete and
+// byte-identical.
 // Idle workers steal queued cell batches from busy ones, so one
 // expensive cell cannot idle the pool.
 //
@@ -126,15 +140,15 @@
 //	dsasim -machine all -remote host-a:7077,host-b:7077 -workload segments
 //	dsafig -workers 2 -remote host-a:7077 -batch 8 t1 t4
 //
-// The wire format is the stdio protocol with an 8-byte header (length
-// plus CRC-32C) per frame, a version/auth handshake (-auth-token on
-// both ends, defaulting to $DSA_WORKER_TOKEN; the token is a
-// misconfiguration guard, not cryptographic security — run remote
-// workers on trusted networks), and heartbeat frames the server emits
-// while a batch computes. Heartbeats are what let the dialer tell a
-// slow cell from a dead link: a healthy link is never silent for
-// longer than the heartbeat interval, so only genuine link death — not
-// an expensive cell — trips the per-batch deadline. Remote workers
+// The wire format is the one local children speak: an 8-byte header
+// (length plus CRC-32C) per frame, a version/auth handshake
+// (-auth-token on both ends, defaulting to $DSA_WORKER_TOKEN; the
+// token is a misconfiguration guard, not cryptographic security — run
+// remote workers on trusted networks), and heartbeat frames the server
+// emits while a batch computes. Heartbeats are what let the dialer
+// tell a slow cell from a dead link: a healthy link is never silent
+// for longer than the heartbeat interval, so only genuine link death —
+// not an expensive cell — trips the per-batch deadline. Remote workers
 // warm their own -cache-dir on their own disk; as everywhere else,
 // only {task, cell key, seed} tuples and result rows cross the wire,
 // never workload bytes.

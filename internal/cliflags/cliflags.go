@@ -156,14 +156,16 @@ func Store(prog, cacheDir string) *catalog.Catalog {
 }
 
 // RunWorker is the shared body of the hidden `<cmd> worker`
-// subcommand: parse the worker flags and serve cell batches over the
-// stdio protocol until the dispatcher closes stdin. The caller
-// registers its dist handlers (init-time or explicitly) before calling.
+// subcommand a -workers pool spawns: parse the worker flags and serve
+// cell batches on the pipe pair the pool passed as fds 3 and 4 — the
+// serve-worker protocol, handshake and heartbeats included — until
+// the dispatcher disconnects. The caller registers its dist handlers
+// (init-time or explicitly) before calling.
 func RunWorker(prog string, args []string) error {
 	fs := flag.NewFlagSet("worker", flag.ExitOnError)
 	cacheDir := fs.String("cache-dir", "", "disk-backed workload cache directory shared with the dispatcher")
 	_ = fs.Parse(args)
-	return dist.ServeWorker(os.Stdin, os.Stdout, dist.WorkerOptions{Catalog: Store(prog, *cacheDir)})
+	return dist.ServeInherited(dist.ServeOptions{Catalog: Store(prog, *cacheDir)})
 }
 
 // RunServeWorker is the shared body of `<cmd> serve-worker`: the TCP
@@ -176,7 +178,5 @@ func RunServeWorker(prog string, args []string) error {
 	authToken := fs.String("auth-token", os.Getenv("DSA_WORKER_TOKEN"), "shared secret dialers must present (default $DSA_WORKER_TOKEN; empty accepts any)")
 	addrFile := fs.String("addr-file", "", "write the bound host:port to this file (atomically) once listening")
 	_ = fs.Parse(args)
-	o := dist.ServeOptions{AuthToken: *authToken}
-	o.Catalog = Store(prog, *cacheDir)
-	return dist.ListenAndServe(*listen, *addrFile, o)
+	return dist.ListenAndServe(*listen, *addrFile, dist.ServeOptions{AuthToken: *authToken, Catalog: Store(prog, *cacheDir)})
 }

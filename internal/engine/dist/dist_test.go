@@ -34,7 +34,7 @@ const serverTokenEnv = "DSA_DIST_TEST_TOKEN"
 func TestMain(m *testing.M) {
 	registerTestHandlers()
 	if os.Getenv(workerEnv) == "1" {
-		if err := WorkerMain(os.Stdin, os.Stdout); err != nil {
+		if err := ServeInherited(ServeOptions{}); err != nil {
 			fmt.Fprintln(os.Stderr, "worker:", err)
 			os.Exit(1)
 		}

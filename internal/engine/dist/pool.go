@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -38,13 +39,16 @@ type Options struct {
 	// serve-workers' -auth-token. Empty matches only servers that
 	// require none.
 	AuthToken string
-	// LinkTimeout is how long a remote link may stay silent — no
-	// heartbeat, no response — before it is declared dead and its
-	// in-flight batch contained. <= 0 means DefaultLinkTimeout. Local
-	// stdio children need no deadline: their death is pipe EOF.
+	// LinkTimeout is how long a link, local or remote, may stay silent
+	// — no heartbeat, no response — before it is declared dead and its
+	// in-flight batch contained: a stopped or wedged child is retired
+	// like a stalled endpoint. It must comfortably exceed the workers'
+	// heartbeat interval (DefaultHeartbeat for local children). <= 0
+	// means DefaultLinkTimeout.
 	LinkTimeout time.Duration
-	// DialTimeout bounds connecting (dial + handshake) to a remote
-	// endpoint. <= 0 means DefaultDialTimeout.
+	// DialTimeout bounds connecting to a worker: dialing a remote
+	// endpoint or spawning a child, plus the handshake. <= 0 means
+	// DefaultDialTimeout.
 	DialTimeout time.Duration
 	// MaxRespawns bounds how many times one worker slot may be
 	// respawned after a crash — or one remote slot reconnected after a
@@ -52,15 +56,15 @@ type Options struct {
 	// in-process. <= 0 means DefaultMaxRespawns.
 	MaxRespawns int
 	// Batch is how many cells travel per protocol frame. One frame
-	// each way then serves a whole batch, amortizing the gob+pipe
-	// round trip across cells — the lever that makes small-cell sweeps
+	// each way then serves a whole batch, amortizing the gob round
+	// trip across cells — the lever that makes small-cell sweeps
 	// worth distributing. A worker crash costs at most one in-flight
 	// batch (each cell a contained FAILED row). <= 0 means
 	// DefaultBatch. Output bytes are identical at any batch size.
 	Batch int
-	// Stderr receives the children's stderr, each line prefixed with
-	// the worker slot and its in-flight cell key so failures are
-	// attributable. Nil means os.Stderr.
+	// Stderr receives the children's stdout and stderr, each line
+	// prefixed with the worker slot and its in-flight cell key so
+	// failures are attributable. Nil means os.Stderr.
 	Stderr io.Writer
 }
 
@@ -314,12 +318,12 @@ type slot struct {
 	local   bool // respawn/reconnect budget exhausted: run cells in-process
 
 	// currentKey is the most recent cell (or batch) label, read
-	// concurrently by the child's stderr prefixer; it is set before
+	// concurrently by the child's output prefixer; it is set before
 	// each batch ships and deliberately never cleared (see runBatch).
 	currentKey atomic.Value
 
 	procMu sync.Mutex
-	live   link            // the connected link; also read by the cancellation watchers
+	live   *link           // the connected link; also read by the cancellation watchers
 	curCtx context.Context // the in-flight batch's sweep context, nil when idle
 	killed bool            // a watcher killed the link; reconnect before reuse
 }
@@ -366,7 +370,7 @@ func (s *slot) runBatch(ctx context.Context, sw engine.SweepEnv, idxs []int, job
 	}
 
 	// The label stays set after the batch completes (rather than being
-	// cleared) because the child's stderr reaches the prefixer through
+	// cleared) because the child's output reaches the prefixer through
 	// exec's copier goroutine, which may run after the response frame
 	// has been read — clearing on return would race the copier and
 	// strip the attribution off the very lines it names. Output between
@@ -414,13 +418,11 @@ func (s *slot) runBatch(ctx context.Context, sw engine.SweepEnv, idxs []int, job
 		// respawns or redials within that budget.
 		s.crashes++
 		s.pool.count(func(st *Stats) { st.Crashes += len(remote) })
-		if s.endpoint != "" {
-			// A local child's own stderr shows why it died; a remote
-			// worker's stderr stays on its host, so the dispatcher-side
-			// line is the only attribution this side of the wire.
-			fmt.Fprintf(s.pool.stderr, "dist: %s: link retired: %v (batch %s contained)\n",
-				s.name, err, batchLabel(jobs, remote))
-		}
+		// A remote worker's stderr stays on its host, and a stopped
+		// child says nothing at all: this line is the one attribution
+		// every retirement gets.
+		fmt.Fprintf(s.pool.stderr, "dist: %s: link retired: %v (batch %s contained)\n",
+			s.name, err, batchLabel(jobs, remote))
 		for _, idx := range remote {
 			key := jobs[idx].Key
 			report(engine.Result{
@@ -446,8 +448,8 @@ func batchLabel(jobs []engine.Job, idxs []int) string {
 }
 
 // roundTrip sends one request over the slot's link and blocks for its
-// response. The link consumes heartbeat frames itself; for remote
-// links each frame also re-arms the silence deadline.
+// response. The link consumes heartbeat frames itself, each one
+// re-arming the silence deadline.
 func (s *slot) roundTrip(req *request) (*response, error) {
 	s.procMu.Lock()
 	ln := s.live
@@ -513,33 +515,43 @@ func (s *slot) ensure(ctx context.Context) error {
 }
 
 // connect establishes the slot's link: local slots spawn a worker
-// child whose stderr flows through a line prefixer naming the slot and
-// its in-flight cell key — so anything a crashing worker manages to
-// say is attributable to the cell that killed it — and remote slots
-// dial their serve-worker endpoint and handshake. (A remote worker's
-// own stderr stays on its host, prefixed there per connection; this
-// side attributes link events by endpoint instead.)
+// child whose stdout and stderr flow through a line prefixer naming
+// the slot and its in-flight cell key — so anything a crashing worker
+// manages to say is attributable to the cell that killed it — and
+// remote slots dial their serve-worker endpoint. Either way the link
+// is handshaken before any cells flow. (A remote worker's own stderr
+// stays on its host, prefixed there per connection; this side
+// attributes link events by endpoint instead.)
 func (s *slot) connect(ctx context.Context) error {
+	o := &s.pool.opts
 	var (
-		ln  link
-		err error
+		ln   *link
+		what string
 	)
 	if s.endpoint != "" {
-		ln, err = dialRemote(ctx, s.endpoint, s.pool.opts.AuthToken, s.pool.opts.LinkTimeout, s.pool.opts.DialTimeout)
+		what = "dialing " + s.endpoint
+		d := net.Dialer{Timeout: o.DialTimeout}
+		conn, err := d.DialContext(ctx, "tcp", s.endpoint)
 		if err != nil {
-			return fmt.Errorf("dialing %s: %w", s.endpoint, err)
+			return fmt.Errorf("%s: %w", what, err)
 		}
+		ln = newLink(conn, o.LinkTimeout)
 	} else {
+		what = "spawning " + o.Command
 		prefixer := NewPrefixWriter(s.pool.stderr, func() string {
 			if k, _ := s.currentKey.Load().(string); k != "" {
 				return fmt.Sprintf("%s %s: ", s.name, k)
 			}
 			return s.name + ": "
 		})
-		ln, err = spawnProc(s.pool.opts.Command, s.pool.opts.Args, s.pool.opts.Env, prefixer)
-		if err != nil {
-			return fmt.Errorf("spawning %s: %w", s.pool.opts.Command, err)
+		var err error
+		if ln, err = spawnLocal(o.Command, o.Args, o.Env, prefixer, o.LinkTimeout); err != nil {
+			return fmt.Errorf("%s: %w", what, err)
 		}
+	}
+	if err := ln.handshake(o.AuthToken, o.DialTimeout); err != nil {
+		ln.close()
+		return fmt.Errorf("%s: %w", what, err)
 	}
 	s.procMu.Lock()
 	s.live = ln

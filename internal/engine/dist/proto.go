@@ -1,14 +1,16 @@
 // Package dist distributes engine sweeps across worker processes: a
 // dispatcher (Pool) that implements engine.Executor by sharding cells
-// over a pool of workers, and the worker side (ServeWorker for child
-// processes over stdio, Serve for remote serve-worker processes over
-// TCP), speaking a length-prefixed, checksummed gob protocol over
-// either byte stream.
+// over a pool of workers, and the worker side, which serves one
+// protocol over either byte stream: Serve for remote serve-worker
+// processes over TCP, ServeInherited for local child processes over
+// the pipe pair they inherit. Both handshake, then exchange
+// length-prefixed, checksummed gob frames with heartbeats, so one
+// link type with one deadline rule serves every slot.
 //
 // A cell crosses the process boundary as its engine.Spec — a task name
 // resolved against the worker's compiled-in handler registry plus the
 // sweep's base seed and the cell key. Cells travel in batches of
-// Options.Batch per frame, amortizing the gob+pipe round trip across
+// Options.Batch per frame, amortizing the gob round trip across
 // small cells; the worker runs each batch cell by cell, in order. The
 // worker re-derives each cell's RNG exactly as the in-process pool
 // does (sim.SeedFor(seed, key)) and materializes workloads from its
@@ -20,10 +22,11 @@
 // batch size.
 //
 // The engine's fault-containment posture extends across the process
-// boundary: a worker that crashes (or is killed) surfaces as a
-// contained failure — a FAILED cell — for whatever cell it had in
-// flight, the child is respawned within a bounded budget, and the
-// sweep completes. A slot whose budget is exhausted (or whose binary
+// boundary: a worker that crashes, is killed, or falls silent past
+// Options.LinkTimeout surfaces as a contained failure — a FAILED cell
+// — for whatever cell it had in flight, the child is respawned (or the
+// endpoint redialed) within a bounded budget, and the sweep
+// completes. A slot whose budget is exhausted (or whose binary
 // cannot be spawned at all) degrades to running its cells in the
 // dispatching process, so a sweep never wedges and never loses cells.
 package dist
@@ -46,11 +49,12 @@ import (
 // protocol error, not a workload.
 const maxFrame = 64 << 20
 
-// protoVersion is negotiated by the remote handshake (hello/helloAck),
-// so a dialer and a serve-worker built from different revisions refuse
-// each other cleanly instead of mis-decoding frames. The stdio
-// transport needs no handshake: dispatcher and child are the same
-// binary by construction.
+// protoVersion is negotiated by the handshake (hello/helloAck) every
+// link opens with, so a dialer and a serve-worker built from different
+// revisions refuse each other cleanly instead of mis-decoding frames.
+// A local child is normally the dispatcher's own binary, but it
+// handshakes all the same: one link, one rule, and a -workers command
+// that is not a worker fails at spawn instead of mid-sweep.
 //
 // Version 2 switched the post-handshake stream from self-contained
 // frames (a fresh gob encoder per frame, re-sending type definitions
@@ -64,8 +68,8 @@ const protoVersion = 2
 // payload checksum (hardware-accelerated on the platforms we run on).
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// hello opens a remote connection: the dialer's first frame. The
-// serve-worker answers with a helloAck before any cells flow.
+// hello opens a link: the dialer's first frame. The worker answers
+// with a helloAck before any cells flow.
 type hello struct {
 	// Version is the dialer's protoVersion; a mismatch is refused.
 	Version int

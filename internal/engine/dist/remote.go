@@ -2,7 +2,6 @@ package dist
 
 import (
 	"bufio"
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -19,32 +18,40 @@ import (
 // cannot pin a server goroutine.
 const DefaultHandshakeTimeout = 10 * time.Second
 
-// ServeOptions configures Serve, the TCP serve-worker side.
+// ServeOptions configures the worker side of the protocol: Serve's
+// accepted TCP connections and a local child's inherited pipe pair
+// (ServeInherited) alike.
 type ServeOptions struct {
-	// WorkerOptions configure the protocol loop each accepted
-	// connection runs — notably the shared per-process Catalog (one
+	// Catalog is the worker's per-process workload catalog, shared
+	// across every cell, sweep and connection it serves (one
 	// serve-worker warms one cache no matter how many dispatchers
-	// connect) and the heartbeat interval.
-	WorkerOptions
+	// connect). Nil means a fresh in-memory catalog; the CLIs pass a
+	// disk-backed store here when run with -cache-dir, so workers
+	// replay workloads across processes and runs.
+	Catalog *catalog.Catalog
+	// HeartbeatInterval is how often the worker emits heartbeat frames
+	// while a batch is executing — the application-level liveness
+	// signal that lets the dispatcher distinguish a slow cell (beats
+	// keep arriving) from a dead link (silence). <= 0 means
+	// DefaultHeartbeat. Heartbeats are consumed by the dispatcher's
+	// transport and never change output bytes.
+	HeartbeatInterval time.Duration
 	// AuthToken, when nonempty, must match each dialer's hello token;
 	// mismatches are refused at the handshake before any cells flow.
 	AuthToken string
 	// Stderr receives per-connection lifecycle lines, each prefixed
 	// with the peer address. Nil means os.Stderr.
 	Stderr io.Writer
-	// HandshakeTimeout bounds the hello/helloAck exchange. <= 0 means
-	// DefaultHandshakeTimeout.
-	HandshakeTimeout time.Duration
 }
 
 // Serve accepts connections on ln and runs the worker protocol on each
-// — the TCP counterpart of ServeWorker, one protocol loop per accepted
-// connection, all sharing one per-process workload catalog. Each
-// connection is handshaken (protocol version, auth token) under a
-// deadline before any cells flow. A connection failing mid-batch costs
-// only itself: the loop's error retires that connection while the
-// others keep serving. Serve returns nil when the listener is closed,
-// after closing every live connection and waiting for its goroutines.
+// — one protocol loop per accepted connection, all sharing one
+// per-process workload catalog. Each connection is handshaken
+// (protocol version, auth token) under a deadline before any cells
+// flow. A connection failing mid-batch costs only itself: the loop's
+// error retires that connection while the others keep serving. Serve
+// returns nil when the listener is closed, after closing every live
+// connection and waiting for its goroutines.
 func Serve(ln net.Listener, o ServeOptions) error {
 	if o.Catalog == nil {
 		o.Catalog = catalog.New()
@@ -52,10 +59,6 @@ func Serve(ln net.Listener, o ServeOptions) error {
 	stderr := o.Stderr
 	if stderr == nil {
 		stderr = os.Stderr
-	}
-	hs := o.HandshakeTimeout
-	if hs <= 0 {
-		hs = DefaultHandshakeTimeout
 	}
 	var (
 		wg    sync.WaitGroup
@@ -90,15 +93,39 @@ func Serve(ln net.Listener, o ServeOptions) error {
 				delete(conns, conn)
 				mu.Unlock()
 			}()
-			serveAccepted(conn, o, stderr, hs)
+			serveAccepted(conn, o, Prefixed(stderr, fmt.Sprintf("serve-worker[%s]: ", conn.RemoteAddr())))
 		}(conn)
 	}
 }
 
-// serveAccepted handshakes one accepted connection and, if accepted,
-// runs the worker protocol loop on it until the dialer disconnects.
-func serveAccepted(conn net.Conn, o ServeOptions, stderr io.Writer, hs time.Duration) {
-	lg := Prefixed(stderr, fmt.Sprintf("serve-worker[%s]: ", conn.RemoteAddr()))
+// ServeInherited is the body of the `<cmd> worker` subcommand a Pool
+// spawns: it serves the worker protocol on the pipes the pool passed
+// as fds 3 (requests) and 4 (responses) exactly as Serve serves an
+// accepted connection — handshake, heartbeats, one response frame per
+// batch — until the dispatcher disconnects. The pipes arrive blocking,
+// so no frame pays a netpoller round and the deadlines are no-ops
+// here. The child needs none: the dispatcher's own deadline kills it,
+// and the dispatcher exiting closes the pipes. It logs no lifecycle
+// lines: the dispatcher reports the link's retirement itself, and
+// whatever the child prints reaches the dispatcher's stderr prefixed
+// with its slot.
+func ServeInherited(o ServeOptions) error {
+	conn := pipeConn{r: os.NewFile(3, "dist-requests"), w: os.NewFile(4, "dist-responses")}
+	for _, f := range []*os.File{conn.r, conn.w} {
+		if fi, err := f.Stat(); err != nil || fi.Mode()&os.ModeNamedPipe == 0 {
+			return fmt.Errorf("dist: fds 3 and 4 are not a worker link (is this process a -workers child?)")
+		}
+	}
+	defer conn.Close()
+	serveAccepted(conn, o, io.Discard)
+	return nil
+}
+
+// serveAccepted handshakes one connection under
+// DefaultHandshakeTimeout and, if accepted, runs the worker protocol
+// loop on it until the dialer disconnects, logging lifecycle lines
+// to lg.
+func serveAccepted(conn net.Conn, o ServeOptions, lg io.Writer) {
 	br := bufio.NewReader(conn)
 	// Every write arms a fresh write deadline, so a dialer that stalls
 	// without closing (reads nothing, connection open) cannot pin this
@@ -106,7 +133,7 @@ func serveAccepted(conn net.Conn, o ServeOptions, stderr io.Writer, hs time.Dura
 	// errors and the loop retires the connection.
 	bw := bufio.NewWriter(deadlineWriter{conn: conn, d: DefaultLinkTimeout})
 
-	_ = conn.SetDeadline(time.Now().Add(hs))
+	_ = conn.SetDeadline(time.Now().Add(DefaultHandshakeTimeout))
 	var h hello
 	if err := readFrame(br, &h); err != nil {
 		fmt.Fprintf(lg, "handshake failed: %v\n", err)
@@ -133,7 +160,7 @@ func serveAccepted(conn net.Conn, o ServeOptions, stderr io.Writer, hs time.Dura
 		return
 	}
 	fmt.Fprintf(lg, "connected\n")
-	if err := serveConn(context.Background(), br, bw, o.WorkerOptions); err != nil {
+	if err := serveConn(br, bw, o); err != nil {
 		fmt.Fprintf(lg, "connection lost: %v\n", err)
 		return
 	}

@@ -203,7 +203,7 @@ func TestTCPWorkerKillMidBatch(t *testing.T) {
 // the heartbeat deadline, cost exactly the in-flight batch, and the
 // slot must reconnect and finish the sweep remotely.
 func TestTCPStalledLinkDeadline(t *testing.T) {
-	addr := startServeWorker(t, ServeOptions{WorkerOptions: WorkerOptions{HeartbeatInterval: 20 * time.Millisecond}})
+	addr := startServeWorker(t, ServeOptions{HeartbeatInterval: 20 * time.Millisecond})
 	down := noFaults()
 	down.stallAfter = 100 // past the helloAck, before the first response
 	proxy := newFaultProxy(t, addr, noFaults(), down, true)
@@ -245,7 +245,7 @@ func TestTCPStalledLinkDeadline(t *testing.T) {
 // than the link deadline must NOT be declared dead while its worker
 // heartbeats — the deadline measures silence, not cell cost.
 func TestTCPSlowCellHeartbeatsKeepLinkAlive(t *testing.T) {
-	addr := startServeWorker(t, ServeOptions{WorkerOptions: WorkerOptions{HeartbeatInterval: 25 * time.Millisecond}})
+	addr := startServeWorker(t, ServeOptions{HeartbeatInterval: 25 * time.Millisecond})
 	pool := newRemotePool(t, Options{Remote: []string{addr}, LinkTimeout: 150 * time.Millisecond})
 	jobs := []engine.Job{{Key: "slow/cell", Spec: &engine.Spec{
 		Task: "test/sleep", Args: map[string]string{"ms": "600"}, // 4× the link deadline
@@ -266,7 +266,7 @@ func TestTCPSlowCellHeartbeatsKeepLinkAlive(t *testing.T) {
 // trusted to be framed correctly again — costing the in-flight batch
 // and one reconnect, never wedging or mis-decoding.
 func TestTCPCorruptFrameRetiresConnection(t *testing.T) {
-	addr := startServeWorker(t, ServeOptions{WorkerOptions: WorkerOptions{HeartbeatInterval: 20 * time.Millisecond}})
+	addr := startServeWorker(t, ServeOptions{HeartbeatInterval: 20 * time.Millisecond})
 	down := noFaults()
 	down.corruptAt = 600 // past the helloAck, inside some response frame
 	proxy := newFaultProxy(t, addr, noFaults(), down, true)
@@ -299,7 +299,7 @@ func TestTCPCorruptFrameRetiresConnection(t *testing.T) {
 // in-process execution — FAILED cells are bounded by the budget and
 // the sweep still completes, promptly.
 func TestTCPReconnectBudgetDegradesToLocal(t *testing.T) {
-	addr := startServeWorker(t, ServeOptions{WorkerOptions: WorkerOptions{HeartbeatInterval: 20 * time.Millisecond}})
+	addr := startServeWorker(t, ServeOptions{HeartbeatInterval: 20 * time.Millisecond})
 	down := noFaults()
 	down.stallAfter = 100
 	proxy := newFaultProxy(t, addr, noFaults(), down, false) // every connection stalls
@@ -399,7 +399,7 @@ func TestTCPAuthToken(t *testing.T) {
 // return promptly — heartbeats keep the link "alive", so cancellation
 // cannot wait for a deadline.
 func TestTCPCancellationClosesLink(t *testing.T) {
-	addr := startServeWorker(t, ServeOptions{WorkerOptions: WorkerOptions{HeartbeatInterval: 20 * time.Millisecond}})
+	addr := startServeWorker(t, ServeOptions{HeartbeatInterval: 20 * time.Millisecond})
 	pool := newRemotePool(t, Options{Remote: []string{addr}})
 	jobs := []engine.Job{{Key: "sleep/cell", Spec: &engine.Spec{
 		Task: "test/sleep", Args: map[string]string{"ms": "60000"},

@@ -79,62 +79,21 @@ func Tasks() []string {
 // dead after many consecutive missed beats, never by one slow frame.
 const DefaultHeartbeat = 500 * time.Millisecond
 
-// WorkerOptions configures the worker side of the protocol.
-type WorkerOptions struct {
-	// Catalog is the worker's per-process workload catalog, shared
-	// across every cell and sweep this worker serves. Nil means a fresh
-	// in-memory catalog; the CLIs pass a disk-backed store here when
-	// spawned with -cache-dir, so workers replay workloads across
-	// processes and runs.
-	Catalog *catalog.Catalog
-	// HeartbeatInterval is how often the worker emits heartbeat frames
-	// while a batch is executing — the application-level liveness
-	// signal that lets the dispatcher distinguish a slow cell (beats
-	// keep arriving) from a dead link (silence). <= 0 means
-	// DefaultHeartbeat. Heartbeats are consumed by the dispatcher's
-	// transport and never change output bytes.
-	HeartbeatInterval time.Duration
-}
-
-// WorkerMain is ServeWorker with default options — the historical
-// entry point for a `<cmd> worker` subcommand without flags.
-func WorkerMain(in io.Reader, out io.Writer) error {
-	return ServeWorker(in, out, WorkerOptions{})
-}
-
-// ServeWorker is the stdio worker side of the protocol: the `<cmd>
-// worker` subcommand calls it with the process's stdin and stdout. It
-// serves request batches one frame at a time — parallelism comes from
-// the dispatcher running N workers — until stdin closes (a clean
-// shutdown, returning nil) or the protocol breaks. Cells run under the
-// engine's standard contract: RNG seeded via sim.SeedFor(seed, key)
-// and per-cell panic containment, with the recovered panic shipped
-// back for the dispatcher to surface exactly as an in-process
-// contained panic (the rest of the batch still runs). The TCP
-// counterpart is Serve, which runs the same loop per accepted
-// connection after a handshake.
-func ServeWorker(in io.Reader, out io.Writer, o WorkerOptions) error {
-	return serveConn(context.Background(), in, out, o)
-}
-
-// serveConn is the worker protocol loop shared by the stdio and TCP
-// transports: read a request frame, run its batch, answer with a
-// response frame — emitting heartbeat frames on a ticker while the
-// batch executes, so the dispatcher's link deadline measures silence,
-// not cell cost. ctx scopes the connection: when a heartbeat write
-// fails (the link is gone and nothing this batch computes can be
+// serveConn is the worker protocol loop every connection runs once
+// serveAccepted has handshaken it: read a request frame, run its
+// batch, answer with a response frame — emitting heartbeat frames on a
+// ticker while the batch executes, so the dispatcher's link deadline
+// measures silence, not cell cost. Cells run under the engine's
+// standard contract: RNG seeded via sim.SeedFor(seed, key) and
+// per-cell panic containment, with the recovered panic shipped back
+// for the dispatcher to surface exactly as an in-process contained
+// panic (the rest of the batch still runs). The loop returns nil when
+// the dispatcher disconnects at a frame boundary. When a heartbeat
+// write fails (the link is gone and nothing this batch computes can be
 // delivered) the in-flight batch's context is cancelled and the loop
-// returns without waiting on cells that ignore cancellation — a
-// serve-worker must not let one dead dialer pin a goroutine forever.
-func serveConn(ctx context.Context, in io.Reader, out io.Writer, o WorkerOptions) error {
-	r, ok := in.(*bufio.Reader)
-	if !ok {
-		r = bufio.NewReader(in)
-	}
-	w, ok := out.(*bufio.Writer)
-	if !ok {
-		w = bufio.NewWriter(out)
-	}
+// returns without waiting on cells that ignore cancellation — a worker
+// must not let one dead dialer pin a goroutine forever.
+func serveConn(r *bufio.Reader, w *bufio.Writer, o ServeOptions) error {
 	cat := o.Catalog
 	if cat == nil {
 		cat = catalog.New() // per-process workload catalog, shared across cells
@@ -168,7 +127,7 @@ func serveConn(ctx context.Context, in io.Reader, out io.Writer, o WorkerOptions
 			}
 			return err
 		}
-		batchCtx, cancel := context.WithCancel(ctx)
+		batchCtx, cancel := context.WithCancel(context.Background())
 		done := make(chan *response, 1) // buffered: the batch goroutine never blocks on a departed reader
 		go func() { done <- serve(batchCtx, &req, cat) }()
 		ticker := time.NewTicker(hb)

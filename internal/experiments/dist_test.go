@@ -22,7 +22,7 @@ const workerEnv = "DSA_EXPERIMENTS_TEST_WORKER"
 
 func TestMain(m *testing.M) {
 	if os.Getenv(workerEnv) == "1" {
-		if err := dist.WorkerMain(os.Stdin, os.Stdout); err != nil {
+		if err := dist.ServeInherited(dist.ServeOptions{}); err != nil {
 			fmt.Fprintln(os.Stderr, "worker:", err)
 			os.Exit(1)
 		}

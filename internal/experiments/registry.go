@@ -10,12 +10,13 @@ import (
 )
 
 // DistTask is the worker-side handler name for experiment cells. A
-// worker process (any binary that links this package and runs
-// dist.WorkerMain) rebuilds a cell from {sweep id, cell key} plus the
-// sweep's base seed: the cell builders are pure functions of the
-// config's Seed, so the registry plus the seed IS the cell — nothing
-// else crosses the wire. Workloads re-materialize in the worker's own
-// catalog from their "<name>@<seed>" keys.
+// worker process (any binary that links this package and serves the
+// dist protocol: a `worker` child through dist.ServeInherited, a
+// `serve-worker` through dist.Serve) rebuilds a cell from {sweep id,
+// cell key} plus the sweep's base seed: the cell builders are pure
+// functions of the config's Seed, so the registry plus the seed IS the
+// cell — nothing else crosses the wire. Workloads re-materialize in
+// the worker's own catalog from their "<name>@<seed>" keys.
 const DistTask = "experiments/cell"
 
 // anyCell is the registry's uniform cell shape: a stable key plus an

@@ -49,8 +49,8 @@ bench:
 
 # The measured counterpart to the `bench` smoke: the hot-path
 # benchmarks (heap alloc/free, TLB lookup, pager touch, replacement
-# policies, the whole-battery sweep, the seven machines' build and
-# replay, dist round trips) at a fixed
+# policies, each sweep of the battery, the whole-battery sweep, the
+# seven machines' build and replay, dist round trips) at a fixed
 # -benchtime/-count, snapshotted to JSON by cmd/dsabenchdiff — which
 # keeps the fastest of the -count runs per benchmark, the stable floor
 # for regression gating. CI's bench-gate job diffs the snapshot
@@ -64,19 +64,21 @@ BENCH_GATE_TIME ?= 200ms
 bench-gate:
 	@set -e; \
 	$(GO) test -run '^$$' -benchmem -count $(BENCH_GATE_COUNT) -benchtime $(BENCH_GATE_TIME) \
-		-bench '^(BenchmarkHeapAllocFree|BenchmarkTLBLookup|BenchmarkPagerTouch|BenchmarkReplacementPolicies|BenchmarkAllSweep|BenchmarkMachineReplay|BenchmarkDistRoundTrips|BenchmarkMetricsTable|BenchmarkCellSteadyState|BenchmarkWorkloadGen)$$' \
+		-bench '^(BenchmarkHeapAllocFree|BenchmarkTLBLookup|BenchmarkPagerTouch|BenchmarkReplacementPolicies|BenchmarkSweep|BenchmarkAllSweep|BenchmarkMachineReplay|BenchmarkDistRoundTrips|BenchmarkMetricsTable|BenchmarkCellSteadyState|BenchmarkWorkloadGen)$$' \
 		. ./internal/engine/dist > $(BENCH_GATE_OUT).txt; \
 	cat $(BENCH_GATE_OUT).txt; \
 	$(GO) run ./cmd/dsabenchdiff parse -o $(BENCH_GATE_OUT).json $(BENCH_GATE_OUT).txt
 
 # Short coverage-guided runs of the lockstep fuzz targets: the chunked
-# store.Level against a flat-array model, and every slot-indexed
-# replacement policy against its map-based reference. A failing input
-# is written under the package's testdata/fuzz, ready to commit as a
-# regression case. CI runs this after `make ci`.
+# store.Level against a flat-array model, every slot-indexed
+# replacement policy against its map-based reference, and the TLB's
+# register array against the seed's stamp-scan associative memory. A
+# failing input is written under the package's testdata/fuzz, ready to
+# commit as a regression case. CI runs this after `make ci`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLevel$$' -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzPolicyLockstep$$' -fuzztime 10s ./internal/replace
+	$(GO) test -run '^$$' -fuzz '^FuzzTLBLockstep$$' -fuzztime 10s ./internal/mapping
 
 # Profile the full experiment battery through the CLIs' own
 # -cpuprofile/-memprofile flags (every sweep entry point registers

@@ -1,13 +1,13 @@
-// Benchmarks regenerating every figure and table of the paper's
-// evaluation material (F1–F4, T1–T8; see DESIGN.md §3 and
-// EXPERIMENTS.md), plus micro-benchmarks of the underlying substrates.
+// Benchmarks regenerating every table dsafig prints (BenchmarkSweep,
+// one sub-benchmark per sweep, and BenchmarkAllSweep for the whole
+// battery), plus micro-benchmarks of the underlying substrates.
 //
 // Run everything:
 //
 //	go test -bench=. -benchmem
 //
-// Each experiment benchmark executes the full experiment per
-// iteration; the -v tables themselves are printed by cmd/dsafig.
+// Each sweep benchmark executes the full sweep per iteration; the
+// tables themselves are printed by cmd/dsafig.
 package dsa_test
 
 import (
@@ -32,80 +32,25 @@ import (
 	"dsa/internal/workload/stock"
 )
 
-// benchTable runs one named experiment per iteration.
-func benchTable(b *testing.B, name string) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		rows := 0
-		err := experiments.StreamConfig(context.Background(), experiments.Config{},
-			func(t *metrics.Table) { rows = len(t.Rows) }, name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rows == 0 {
-			b.Fatal("empty table")
-		}
+// BenchmarkSweep regenerates each registered sweep of the battery,
+// one sub-benchmark per sweep name (BenchmarkSweep/t8, ...), so a
+// regression in the bench gate names the sweep it lives in.
+func BenchmarkSweep(b *testing.B) {
+	for _, name := range experiments.Names() {
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				rows := 0
+				err := experiments.StreamConfig(context.Background(), experiments.Config{},
+					func(t *metrics.Table) { rows = len(t.Rows) }, name)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if rows == 0 {
+					b.Fatal("empty table")
+				}
+			}
+		})
 	}
-}
-
-// BenchmarkFig1ArtificialContiguity regenerates Figure 1.
-func BenchmarkFig1ArtificialContiguity(b *testing.B) {
-	benchTable(b, "fig1")
-}
-
-// BenchmarkFig2SimpleMapping regenerates Figure 2.
-func BenchmarkFig2SimpleMapping(b *testing.B) {
-	benchTable(b, "fig2")
-}
-
-// BenchmarkFig3SpaceTime regenerates Figure 3.
-func BenchmarkFig3SpaceTime(b *testing.B) {
-	benchTable(b, "fig3")
-}
-
-// BenchmarkFig4TwoLevelMapping regenerates Figure 4.
-func BenchmarkFig4TwoLevelMapping(b *testing.B) {
-	benchTable(b, "fig4")
-}
-
-// BenchmarkT1Replacement regenerates the replacement-strategy table.
-func BenchmarkT1Replacement(b *testing.B) {
-	benchTable(b, "t1")
-}
-
-// BenchmarkT2Placement regenerates the placement-strategy table.
-func BenchmarkT2Placement(b *testing.B) {
-	benchTable(b, "t2")
-}
-
-// BenchmarkT3UnitSize regenerates the unit-of-allocation table.
-func BenchmarkT3UnitSize(b *testing.B) {
-	benchTable(b, "t3")
-}
-
-// BenchmarkT4Machines regenerates the appendix-survey table.
-func BenchmarkT4Machines(b *testing.B) {
-	benchTable(b, "t4")
-}
-
-// BenchmarkT5Predictive regenerates the predictive-information table.
-func BenchmarkT5Predictive(b *testing.B) {
-	benchTable(b, "t5")
-}
-
-// BenchmarkT6DualPageSize regenerates the MULTICS dual-page-size table.
-func BenchmarkT6DualPageSize(b *testing.B) {
-	benchTable(b, "t6")
-}
-
-// BenchmarkT7NameSpace regenerates the dictionary-bookkeeping table.
-func BenchmarkT7NameSpace(b *testing.B) {
-	benchTable(b, "t7")
-}
-
-// BenchmarkT8Overlap regenerates the multiprogramming-overlap table.
-func BenchmarkT8Overlap(b *testing.B) {
-	benchTable(b, "t8")
 }
 
 // --- substrate micro-benchmarks ---
@@ -275,46 +220,6 @@ func BenchmarkSegmentAccess(b *testing.B) {
 
 func segName(i int) string {
 	return string(rune('a'+i/26)) + string(rune('a'+i%26))
-}
-
-// BenchmarkT8bOverlapTraced regenerates the trace-driven overlap table.
-func BenchmarkT8bOverlapTraced(b *testing.B) {
-	benchTable(b, "t8b")
-}
-
-// BenchmarkA1ReserveFrames regenerates the vacant-frame ablation.
-func BenchmarkA1ReserveFrames(b *testing.B) {
-	benchTable(b, "a1")
-}
-
-// BenchmarkA2Coalescing regenerates the coalescing-mode ablation.
-func BenchmarkA2Coalescing(b *testing.B) {
-	benchTable(b, "a2")
-}
-
-// BenchmarkA3Compaction regenerates the storage-packing ablation.
-func BenchmarkA3Compaction(b *testing.B) {
-	benchTable(b, "a3")
-}
-
-// BenchmarkA4WaldUtilization regenerates the Wald utilization ablation.
-func BenchmarkA4WaldUtilization(b *testing.B) {
-	benchTable(b, "a4")
-}
-
-// BenchmarkA5TLBFlush regenerates the TLB-flush ablation.
-func BenchmarkA5TLBFlush(b *testing.B) {
-	benchTable(b, "a5")
-}
-
-// BenchmarkT0Overlay regenerates the static-vs-dynamic overlay table.
-func BenchmarkT0Overlay(b *testing.B) {
-	benchTable(b, "t0")
-}
-
-// BenchmarkA6SegmentedPaging regenerates the segmented-paging table.
-func BenchmarkA6SegmentedPaging(b *testing.B) {
-	benchTable(b, "a6")
 }
 
 // BenchmarkAllSweep runs the entire experiment battery through the

@@ -343,7 +343,8 @@
 //
 // bench-gate runs the named hot-path benchmarks (BenchmarkHeapAllocFree,
 // BenchmarkTLBLookup, BenchmarkPagerTouch, BenchmarkReplacementPolicies,
-// BenchmarkAllSweep, BenchmarkDistRoundTrips, plus the allocation-shape
+// BenchmarkSweep/<name> for each sweep of the battery, BenchmarkAllSweep,
+// BenchmarkMachineReplay, BenchmarkDistRoundTrips, plus the allocation-shape
 // benchmarks BenchmarkMetricsTable, BenchmarkCellSteadyState and
 // BenchmarkWorkloadGen) and has cmd/dsabenchdiff condense the output to
 // a JSON snapshot, keeping the fastest of the -count runs per benchmark
@@ -373,8 +374,9 @@
 // construction, pinned by tests.
 //
 // Every speedup to these paths is pinned by equivalence tests, not
-// just benchmarks: the indexed heap free list, the intrusive-LRU TLB,
-// and each rewritten replacement policy run in lockstep against
+// just benchmarks: the indexed heap free list, the register-array TLB,
+// the T8 overlap scheduler, the T1 fault-count harness and each
+// rewritten replacement policy run in lockstep against
 // straightforward reference implementations (the seed's originals)
 // over randomized workloads, and testing.AllocsPerRun regression
 // tests hold the steady-state hot paths at zero allocations — so the

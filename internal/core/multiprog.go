@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"dsa/internal/sim"
@@ -59,7 +60,18 @@ type MultiprogramResult struct {
 	InterFault int64
 }
 
-// SimulateMultiprogramming runs the overlap model to completion.
+// SimulateMultiprogramming runs the overlap model to completion. The
+// processor runs the lowest-indexed ready program; when none is ready
+// it idles until the earliest fetch completes, the lowest index
+// winning ties.
+//
+// No burst scans the programs. Ready programs are bits in a bitset, so
+// the lowest ready index is one trailing-zero count per word. Programs
+// waiting on a fetch sit in a FIFO ring that is always in readyAt
+// order: the initial stagger i·F/n ascends with i, every later push
+// has readyAt = now + FetchTime with now never decreasing, and when
+// FetchTime ≤ 0 everything queued is already due. Completed fetches
+// therefore leave from the head, and the head is the next completion.
 func SimulateMultiprogramming(cfg MultiprogramConfig) (MultiprogramResult, error) {
 	if cfg.Programs <= 0 {
 		return MultiprogramResult{}, errors.New("core: need at least one program")
@@ -85,57 +97,57 @@ func SimulateMultiprogramming(cfg MultiprogramConfig) (MultiprogramResult, error
 	}
 	interFault := int64(math.Max(1, cfg.LifetimeCoeff*float64(eff)*float64(eff)))
 
-	type prog struct {
-		remaining int64
-		readyAt   sim.Time // time the program's outstanding fetch completes
-	}
-	progs := make([]prog, cfg.Programs)
-	for i := range progs {
-		progs[i] = prog{remaining: cfg.RefsPerProgram}
+	n := cfg.Programs
+	remaining := make([]int64, n)
+	readyAt := make([]sim.Time, n) // time the program's outstanding fetch completes
+	ready := make([]uint64, (n+63)/64)
+	waiting := make([]int, n) // ring of program indexes in readyAt order
+	head, queued := 0, n
+	for i := range remaining {
+		remaining[i] = cfg.RefsPerProgram
 		// Initial page fetch: programs stagger in.
-		progs[i].readyAt = sim.Time(i) * cfg.FetchTime / sim.Time(cfg.Programs)
+		readyAt[i] = sim.Time(i) * cfg.FetchTime / sim.Time(n)
+		waiting[i] = i
 	}
 
 	var now, busy sim.Time
 	var faults int64
 	for {
-		// Pick the ready program with work left; if none ready, jump to
-		// the earliest completion.
-		best := -1
-		var soonest sim.Time = math.MaxInt64
-		for i := range progs {
-			p := &progs[i]
-			if p.remaining <= 0 {
-				continue
+		// Completed fetches make their programs ready.
+		for queued > 0 && readyAt[waiting[head]] <= now {
+			i := waiting[head]
+			ready[i>>6] |= 1 << (i & 63)
+			if head++; head == n {
+				head = 0
 			}
-			if p.readyAt <= now {
-				best = i
-				break
-			}
-			if p.readyAt < soonest {
-				soonest = p.readyAt
-				best = -(i + 2) // marker: waiting
-			}
+			queued--
 		}
-		if best == -1 {
-			break // all done
-		}
-		if best < -1 {
-			now = soonest // CPU idles until a fetch completes
+		i := lowestSet(ready)
+		if i < 0 {
+			if queued == 0 {
+				break // all done
+			}
+			now = readyAt[waiting[head]] // CPU idles until a fetch completes
 			continue
 		}
-		p := &progs[best]
 		burst := interFault
-		if burst > p.remaining {
-			burst = p.remaining
+		if burst > remaining[i] {
+			burst = remaining[i]
 		}
 		span := sim.Time(burst) * cfg.ComputePerRef
 		now += span
 		busy += span
-		p.remaining -= burst
-		if p.remaining > 0 {
+		remaining[i] -= burst
+		ready[i>>6] &^= 1 << (i & 63)
+		if remaining[i] > 0 {
 			faults++
-			p.readyAt = now + cfg.FetchTime
+			readyAt[i] = now + cfg.FetchTime
+			tail := head + queued
+			if tail >= n {
+				tail -= n
+			}
+			waiting[tail] = i
+			queued++
 		}
 	}
 	util := 0.0
@@ -149,6 +161,16 @@ func SimulateMultiprogramming(cfg MultiprogramConfig) (MultiprogramResult, error
 		FramesPerProgram: frames,
 		InterFault:       interFault,
 	}, nil
+}
+
+// lowestSet returns the index of the lowest set bit, or -1 if none is.
+func lowestSet(words []uint64) int {
+	for w, word := range words {
+		if word != 0 {
+			return w<<6 | bits.TrailingZeros64(word)
+		}
+	}
+	return -1
 }
 
 // OverlapSweep runs the simulation across degrees of multiprogramming

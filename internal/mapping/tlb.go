@@ -8,33 +8,29 @@ type TLBKey struct {
 	Page uint64
 }
 
-// tlbEntry is one associative register, threaded on an intrusive
-// recency list (head = most recently used). Entries are recycled
-// through a free list so steady-state install/evict traffic does not
-// allocate.
-type tlbEntry struct {
-	key        TLBKey
-	frame      int
-	prev, next *tlbEntry
-}
-
 // TLB models the small associative memory "in which recently-used
 // segment and/or page locations are kept": 8+1 registers on the IBM
 // 360/67, 44 thin-film words on the B8500. Hits bypass the mapping
 // tables entirely; replacement within the TLB is least-recently-used,
 // which content-addressable hardware of the era approximated with
-// usage flip-flops. The model keeps the registers on an intrusive
-// recency list, so installing into a full memory evicts the list tail
-// in O(1) instead of scanning every register for the oldest stamp —
-// the victim (strict LRU, which unique stamps made deterministic) is
-// identical.
+// usage flip-flops.
+//
+// The model is what the hardware was: a fixed set of registers searched
+// by content, here linearly (there are at most 44). Every hit and
+// install stamps its register from a counter; the stamps are unique,
+// so evicting the oldest is strict LRU. Valid registers are packed at
+// the front, so a probe searches only those, an invalidation moves the
+// last valid register into the hole, and a flush forgets them all.
 type TLB struct {
-	capacity   int
-	entries    map[TLBKey]*tlbEntry
-	head, tail *tlbEntry // recency order: head = most recent
-	free       *tlbEntry // recycled entries, chained through next
-	hits       int64
-	misses     int64
+	// The registers, as parallel arrays; the first n are valid.
+	pages  []uint64
+	segs   []addr.SegID
+	frames []int
+	used   []uint64 // use stamps
+	n      int
+	clock  uint64
+	hits   int64
+	misses int64
 }
 
 // NewTLB creates an associative memory of the given capacity.
@@ -45,128 +41,110 @@ func NewTLB(capacity int) *TLB {
 		panic("mapping: negative TLB capacity")
 	}
 	return &TLB{
-		capacity: capacity,
-		entries:  make(map[TLBKey]*tlbEntry, capacity),
+		pages:  make([]uint64, capacity),
+		segs:   make([]addr.SegID, capacity),
+		frames: make([]int, capacity),
+		used:   make([]uint64, capacity),
 	}
 }
 
 // Capacity reports the number of associative registers.
-func (t *TLB) Capacity() int { return t.capacity }
+func (t *TLB) Capacity() int { return len(t.pages) }
 
-// moveToFront makes e the most recently used entry.
-func (t *TLB) moveToFront(e *tlbEntry) {
-	if t.head == e {
-		return
+// find returns the register holding k, or -1.
+func (t *TLB) find(k TLBKey) int {
+	pages := t.pages[:t.n]
+	segs := t.segs[:len(pages)]
+	for i, p := range pages {
+		if p == k.Page && segs[i] == k.Seg {
+			return i
+		}
 	}
-	// Unlink (e is on the list and not the head, so e.prev != nil).
-	e.prev.next = e.next
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		t.tail = e.prev
-	}
-	// Relink at the head.
-	e.prev = nil
-	e.next = t.head
-	t.head.prev = e
-	t.head = e
+	return -1
 }
 
-// pushFront links a detached entry at the head of the recency list.
-func (t *TLB) pushFront(e *tlbEntry) {
-	e.prev = nil
-	e.next = t.head
-	if t.head != nil {
-		t.head.prev = e
-	} else {
-		t.tail = e
+// lru returns the valid register with the oldest use stamp.
+func (t *TLB) lru() int {
+	used := t.used[:t.n]
+	victim, oldest := 0, used[0]
+	for i, u := range used {
+		if u < oldest {
+			victim, oldest = i, u
+		}
 	}
-	t.head = e
-}
-
-// unlink removes e from the recency list.
-func (t *TLB) unlink(e *tlbEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		t.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		t.tail = e.prev
-	}
-}
-
-// release recycles a detached entry.
-func (t *TLB) release(e *tlbEntry) {
-	*e = tlbEntry{next: t.free}
-	t.free = e
+	return victim
 }
 
 // Lookup probes the associative memory.
 func (t *TLB) Lookup(k TLBKey) (frame int, ok bool) {
-	e, ok := t.entries[k]
-	if ok {
-		t.hits++
-		t.moveToFront(e)
-		return e.frame, true
+	i := t.find(k)
+	if i < 0 {
+		t.misses++
+		return 0, false
 	}
-	t.misses++
-	return 0, false
+	t.hits++
+	t.clock++
+	t.used[i] = t.clock
+	return t.frames[i], true
 }
 
 // Install records a translation, evicting the least recently used
 // entry if the memory is full.
 func (t *TLB) Install(k TLBKey, frame int) {
-	if t.capacity == 0 {
+	if len(t.pages) == 0 {
 		return
 	}
-	if e, ok := t.entries[k]; ok {
-		e.frame = frame
-		t.moveToFront(e)
-		return
+	i := t.find(k)
+	if i < 0 {
+		if t.n < len(t.pages) {
+			i = t.n
+			t.n++
+		} else {
+			i = t.lru()
+		}
+		t.pages[i] = k.Page
+		t.segs[i] = k.Seg
 	}
-	if len(t.entries) >= t.capacity {
-		victim := t.tail
-		t.unlink(victim)
-		delete(t.entries, victim.key)
-		t.release(victim)
-	}
-	e := t.free
-	if e == nil {
-		e = &tlbEntry{}
-	} else {
-		t.free = e.next
-		*e = tlbEntry{}
-	}
-	e.key = k
-	e.frame = frame
-	t.pushFront(e)
-	t.entries[k] = e
+	t.clock++
+	t.frames[i] = frame
+	t.used[i] = t.clock
+}
+
+// drop invalidates register i by moving the last valid one into it.
+func (t *TLB) drop(i int) {
+	t.n--
+	t.pages[i] = t.pages[t.n]
+	t.segs[i] = t.segs[t.n]
+	t.frames[i] = t.frames[t.n]
+	t.used[i] = t.used[t.n]
 }
 
 // InvalidatePage removes any entry for the (segment, page) pair; it
 // must be called when a page is evicted from its frame.
 func (t *TLB) InvalidatePage(k TLBKey) {
-	if e, ok := t.entries[k]; ok {
-		t.unlink(e)
-		delete(t.entries, k)
-		t.release(e)
+	if i := t.find(k); i >= 0 {
+		t.drop(i)
+	}
+}
+
+// InvalidateSegment removes every entry of the segment in one pass
+// over the registers; it must be called when the segment leaves the
+// segment table.
+func (t *TLB) InvalidateSegment(seg addr.SegID) {
+	for i := 0; i < t.n; {
+		if t.segs[i] == seg {
+			t.drop(i)
+		} else {
+			i++
+		}
 	}
 }
 
 // Flush empties the associative memory (e.g. on program switch).
-func (t *TLB) Flush() {
-	for k, e := range t.entries {
-		delete(t.entries, k)
-		t.release(e)
-	}
-	t.head, t.tail = nil, nil
-}
+func (t *TLB) Flush() { t.n = 0 }
 
 // Len reports the number of valid entries.
-func (t *TLB) Len() int { return len(t.entries) }
+func (t *TLB) Len() int { return t.n }
 
 // Stats reports hit and miss counts.
 func (t *TLB) Stats() (hits, misses int64) { return t.hits, t.misses }

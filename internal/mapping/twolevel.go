@@ -79,11 +79,7 @@ func (m *TwoLevel) Establish(seg addr.SegID, extent addr.Name, pageSize uint64) 
 // out wholesale) and flushes its TLB entries.
 func (m *TwoLevel) Retract(seg addr.SegID) {
 	if int(seg) < len(m.segs) {
-		if e := m.segs[seg]; e.Table != nil {
-			for p := uint64(0); p < uint64(e.Table.Pages()); p++ {
-				m.tlb.InvalidatePage(TLBKey{Seg: seg, Page: p})
-			}
-		}
+		m.tlb.InvalidateSegment(seg)
 		m.segs[seg] = SegEntry{}
 	}
 }

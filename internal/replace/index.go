@@ -119,3 +119,23 @@ func (x *slotIndex) grow() {
 		}
 	}
 }
+
+// PageSet is a set of PageIDs on the policies' own open-addressing
+// index: one table entry per member and no Go map, dense or sparse
+// ids alike. The zero value is an empty set.
+type PageSet struct{ x slotIndex }
+
+// Has reports whether id is in the set.
+func (s *PageSet) Has(id PageID) bool {
+	_, ok := s.x.get(id)
+	return ok
+}
+
+// Add puts id in the set.
+func (s *PageSet) Add(id PageID) { s.x.add(id, 0) }
+
+// Remove takes id out of the set.
+func (s *PageSet) Remove(id PageID) { s.x.remove(id) }
+
+// Len reports the number of members.
+func (s *PageSet) Len() int { return s.x.len() }

@@ -225,27 +225,29 @@ func ReplacePolicy(name string, pageStr []replace.PageID, rngSeed uint64) (repla
 
 // FaultCount replays a page-reference string against a policy with a
 // fixed frame capacity and returns the fault count — the harness of
-// Belady's cited study, shared with the compiled-in T1 sweep.
+// Belady's cited study, shared with the compiled-in T1 sweep. The
+// resident set is a replace.PageSet, so its size follows the frame
+// capacity, not the largest page id.
 func FaultCount(p replace.Policy, refs []replace.PageID, capacity int) int {
 	var clock sim.Clock
-	resident := make(map[replace.PageID]bool, capacity)
+	var resident replace.PageSet
 	faults := 0
 	for _, r := range refs {
 		clock.Advance(1)
-		if resident[r] {
+		if resident.Has(r) {
 			p.Touch(r, clock.Now(), false)
 			continue
 		}
 		faults++
-		if len(resident) == capacity {
+		if resident.Len() == capacity {
 			v, err := p.Victim(clock.Now())
 			if err != nil {
 				panic(err)
 			}
 			p.Remove(v)
-			delete(resident, v)
+			resident.Remove(v)
 		}
-		resident[r] = true
+		resident.Add(r)
 		p.Insert(r, clock.Now())
 	}
 	return faults
